@@ -17,6 +17,7 @@ from .exact_synth import (
     boundary_residual,
     far_field_exact,
     modal_coefficients,
+    modal_sum,
     scattered_surface_field,
     surface_impedance,
 )

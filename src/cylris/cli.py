@@ -168,12 +168,13 @@ def main(argv: list[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         return _COMMANDS[args.command](args)
-    except ConfigError as exc:
-        return _fail(exc, EXIT_CONFIG)
     except BudgetExceededError as exc:
         return _fail(exc, EXIT_BUDGET)
     except (NumericalError, np.linalg.LinAlgError, FloatingPointError) as exc:
         return _fail(exc, EXIT_NUMERICAL)
+    except (ConfigError, ValueError, OSError) as exc:
+        # after LinAlgError (a ValueError): other bad values and paths are bad input
+        return _fail(exc, EXIT_CONFIG)
 
 
 if __name__ == "__main__":

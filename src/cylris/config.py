@@ -94,10 +94,12 @@ class RunConfig:
     def resolved(self) -> dict:
         """Fully defaulted config dictionary, the manifest's `config` entry.
 
-        The worker count is an execution detail, not configuration: parallel
-        and serial runs must produce identical artifacts, so it is omitted.
+        Only the parameters of `self.methods` are kept, so every manifest
+        replays. The worker count is an execution detail, not configuration:
+        parallel and serial runs must produce identical artifacts.
         """
-        params = {k: v for k, v in self.method_params.items() if k != "workers"}
+        keys = {k for m in self.methods for k in _METHOD_PARAMS[m]} - {"workers"}
+        params = {k: v for k, v in self.method_params.items() if k in keys}
         out = {
             "geometry": {"radius_m": self.radius_m, "freq_hz": self.freq_hz},
             "steering": {

@@ -7,6 +7,11 @@ E_sz(R, phi) = exp(-j k0 R cos(phi - phi_o)) fixes the coefficients in
 closed form; the surface impedance follows from the boundary condition
 E_z = Z H_phi at r = R.
 
+Every field here and in `go_synth` is a harmonic sum over m = -M..M taken by
+one kernel, `modal_sum`: a length-G FFT on the full-circle `AngularGrid`.
+It is exact for any G, but the pipeline refuses G < 2M + 1, which cannot
+resolve the pattern.
+
 Sign convention: the surface target is taken with a plus sign,
 E_sz(R, phi) = +exp(-j k0 R cos(phi - phi_o)); reported patterns are
 magnitude-normalized so the overall phase reference drops out.
@@ -20,13 +25,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import specfun
-from .geometry import AngularGrid, CylinderGeometry
+from .geometry import AngularGrid, CylinderGeometry, incident_field
 from .patterns import PatternGrid
 
 __all__ = [
     "ModalExpansion",
     "ImpedanceProfile",
     "modal_coefficients",
+    "modal_sum",
     "scattered_surface_field",
     "surface_impedance",
     "far_field_exact",
@@ -104,42 +110,57 @@ def modal_coefficients(
     return ModalExpansion(c)
 
 
-def scattered_surface_field(geom: CylinderGeometry, expansion: ModalExpansion, phi) -> np.ndarray:
-    """E_sz(R, phi) = sum_m c_m exp(-j m (phi - pi/2)) H_m(k0 R)."""
-    ms = expansion.orders
-    h = specfun.hankel2(ms, geom.k0r)
-    phases = np.exp(-1j * np.multiply.outer(np.asarray(phi, dtype=float) - np.pi / 2, ms))
-    return phases @ (expansion.coeffs * h)
+def modal_sum(weights, grid: AngularGrid) -> np.ndarray:
+    """sum_m w_m exp(-j m phi_k), m = -M..M, on every sample of `grid`.
+
+    `weights` holds w_{-M}..w_M along its last axis; leading axes are
+    summed independently. On phi_k = -pi + 2 pi k / G the phase is
+    (-1)^m exp(-2 pi j (m mod G) k / G), so the sum is one length-G FFT of
+    (-1)^m w_m folded mod G: exact for every G, also G < 2M + 1.
+    """
+    w = np.asarray(weights, dtype=complex)
+    ms = np.arange(w.shape[-1]) - (w.shape[-1] - 1) // 2
+    folded = np.zeros(w.shape[:-1] + (len(grid),), dtype=complex)
+    np.add.at(folded.T, ms % len(grid), np.where(ms % 2, -w, w).T)
+    return np.fft.fft(folded, axis=-1)
+
+
+def _scattered_fields(geom: CylinderGeometry, expansion: ModalExpansion, grid: AngularGrid):
+    """Scattered E_z and eta0 H_phi = -j dE_z/d(k0 r) at r = R, on `grid`."""
+    order = expansion.order
+    h = specfun.hankel2(np.arange(-order - 1, order + 2), geom.k0r)
+    dh = 0.5 * (h[:-2] - h[2:])  # the central recurrence of specfun.hankel2_prime
+    # exp(-j m (phi - pi/2)) = j^m exp(-j m phi)
+    w = 1j ** (expansion.orders % 4) * expansion.coeffs
+    return modal_sum(np.stack([w * h[1:-1], -1j * w * dh]), grid)
+
+
+def _total_fields(geom: CylinderGeometry, expansion: ModalExpansion, grid: AngularGrid):
+    """Total E_z and eta0 H_phi at r = R; the incident wave adds E_i and cos(phi) E_i."""
+    e_s, h_s = _scattered_fields(geom, expansion, grid)
+    e_i = incident_field(geom, geom.radius_m, grid.values)
+    return e_i + e_s, np.cos(grid.values) * e_i + h_s
+
+
+def scattered_surface_field(
+    geom: CylinderGeometry, expansion: ModalExpansion, grid: AngularGrid
+) -> np.ndarray:
+    """E_sz(R, phi) = sum_m c_m exp(-j m (phi - pi/2)) H_m(k0 R) on `grid`."""
+    return _scattered_fields(geom, expansion, grid)[0]
 
 
 def surface_impedance(
-    geom: CylinderGeometry,
-    expansion: ModalExpansion,
-    grid: AngularGrid,
-    pole_tol_factor: float = POLE_TOL_FACTOR,
+    geom: CylinderGeometry, expansion: ModalExpansion, grid: AngularGrid
 ) -> ImpedanceProfile:
-    """Normalized impedance Z(phi)/eta0 enforcing the steered surface field.
+    """Normalized impedance Z(phi)/eta0 = E_z / (eta0 H_phi) of the total field.
 
-    With the incident-field phase factored out, the numerator is the total
-    tangential E and the denominator the total tangential H (times -j eta0);
-    samples where the denominator magnitude falls below
-    pole_tol_factor * max|denominator| are flagged as poles.
+    Samples where |eta0 H_phi| falls below POLE_TOL_FACTOR times its maximum
+    over the grid are flagged as poles.
     """
-    x = geom.k0r
-    ms = expansion.orders
-    phi = grid.values
-    phases = np.exp(-1j * np.multiply.outer(phi - np.pi / 2, ms))
-    s_e = phases @ (expansion.coeffs * specfun.hankel2(ms, x))
-    s_h = phases @ (expansion.coeffs * specfun.hankel2_prime(ms, x))
-    inc = np.exp(-1j * x * np.cos(phi))
-    num = 1.0 + inc * s_e
-    den = np.cos(phi) - 1j * inc * s_h
-    pole_tol = pole_tol_factor * np.abs(den).max()
-    pole = np.abs(den) < pole_tol
-    z = np.empty_like(num)
+    e, h = _total_fields(geom, expansion, grid)
+    pole = np.abs(h) < POLE_TOL_FACTOR * np.abs(h).max()
     with np.errstate(divide="ignore", invalid="ignore"):
-        np.divide(num, den, out=z)
-    z[pole] = np.nan + 1j * np.nan
+        z = np.where(pole, np.nan + 1j * np.nan, e / h)
     return ImpedanceProfile(grid=grid, z_over_eta0=z, pole_mask=pole)
 
 
@@ -150,32 +171,18 @@ def far_field_exact(expansion: ModalExpansion, grid: AngularGrid) -> PatternGrid
     large-argument Hankel form substituted; constant prefactors are dropped
     because all reported patterns are normalized.
     """
-    ms = expansion.orders
-    weights = ((-1.0) ** ms) * expansion.coeffs
-    f = np.exp(-1j * np.multiply.outer(grid.values, ms)) @ weights
-    return PatternGrid(grid=grid, f=f)
+    weights = ((-1.0) ** expansion.orders) * expansion.coeffs
+    return PatternGrid(grid=grid, f=modal_sum(weights, grid))
 
 
 def boundary_residual(
-    geom: CylinderGeometry,
-    expansion: ModalExpansion,
-    profile: ImpedanceProfile,
+    geom: CylinderGeometry, expansion: ModalExpansion, profile: ImpedanceProfile
 ) -> np.ndarray:
     """Per-angle residual |E_z - Z H_phi| / max|E_z| on the profile's grid.
 
     The total fields are evaluated from the modal expansion (incident plus
     scattered); entries under the profile's pole mask are returned as NaN.
     """
-    x = geom.k0r
-    ms = expansion.orders
-    phi = profile.grid.values
-    phases = np.exp(-1j * np.multiply.outer(phi - np.pi / 2, ms))
-    inc = np.exp(1j * x * np.cos(phi))
-    e_total = inc + phases @ (expansion.coeffs * specfun.hankel2(ms, x))
-    # eta0 * H_phi = -j d(E_z)/d(k0 r); for the incident wave that is
-    # cos(phi) * exp(j k0 R cos(phi))
-    h_total = np.cos(phi) * inc - 1j * (phases @ (expansion.coeffs * specfun.hankel2_prime(ms, x)))
-    scale = np.abs(e_total).max()
-    res = np.abs(e_total - profile.z_over_eta0 * h_total) / scale
-    res = np.where(profile.pole_mask, np.nan, res)
-    return res
+    e, h = _total_fields(geom, expansion, profile.grid)
+    res = np.abs(e - profile.z_over_eta0 * h) / np.abs(e).max()
+    return np.where(profile.pole_mask, np.nan, res)

@@ -7,6 +7,7 @@ speaks radians.
 
 from __future__ import annotations
 
+import operator
 import warnings
 from dataclasses import dataclass
 
@@ -97,33 +98,22 @@ class SteeringSpec:
 
 
 class AngularGrid:
-    """Uniform angular grid on [-pi, pi), half-open.
+    """Full-circle grid phi_k = -pi + 2 pi k / n, k = 0..n-1, built only by `uniform(n)`.
 
-    A uniform half-open grid makes the periodic trapezoid rule collapse to a
-    plain Riemann sum, which every quadrature in the package relies on.
+    Every quadrature (a plain Riemann sum) and modal sum (one FFT) relies on it.
     """
 
     __slots__ = ("values",)
 
-    def __init__(self, values):
-        values = np.asarray(values, dtype=float)
-        if values.ndim != 1 or values.size < 2:
-            raise ValueError("grid needs at least two samples")
-        d = np.diff(values)
-        if np.any(d <= 0):
-            raise ValueError("grid must be strictly increasing")
-        if np.max(np.abs(d - d[0])) > 1e-12:
-            raise ValueError("grid must be uniform to 1e-12")
-        if values[0] < -np.pi - 1e-12 or values[-1] >= np.pi:
-            raise ValueError("grid samples must lie in [-pi, pi)")
-        self.values = values
-        self.values.setflags(write=False)
-
     @classmethod
     def uniform(cls, n_points: int) -> "AngularGrid":
+        n_points = operator.index(n_points)
         if n_points < 2:
             raise ValueError("need at least two grid points")
-        return cls(-np.pi + 2 * np.pi * np.arange(n_points) / n_points)
+        grid = object.__new__(cls)
+        grid.values = -np.pi + 2 * np.pi * np.arange(n_points) / n_points
+        grid.values.setflags(write=False)
+        return grid
 
     @property
     def spacing(self) -> float:
@@ -143,6 +133,4 @@ class AngularGrid:
 
 def exclusion_set_mask(spec: SteeringSpec, grid: AngularGrid) -> np.ndarray:
     """Boolean mask, true exactly where |wrap(phi - phi_o)| > delta_phi / 2."""
-    if len(grid) == 0:
-        raise ValueError("grid must be nonempty")
     return np.abs(wrap_angle(grid.values - spec.phi_o)) > spec.delta_phi / 2.0

@@ -9,7 +9,8 @@ impedance Z/eta0 = -j cot(Phi_r / 2) / cos(phi).
 Far fields are evaluated by prescribing the scattered surface field
 (Gamma * E_i on the lit half, a shadow-cancelling -E_i on the dark half by
 default), projecting it onto the cylindrical harmonic basis and dividing
-mode-by-mode by the outgoing radial functions.
+mode-by-mode by the outgoing radial functions. The projection is the adjoint
+of `exact_synth.modal_sum`, one inverse FFT, on at least 2 (2M + 1) samples.
 """
 
 from __future__ import annotations
@@ -81,10 +82,7 @@ def go_impedance(
 
 
 def expansion_from_surface_field(
-    geom: CylinderGeometry,
-    e_surface: np.ndarray,
-    grid: AngularGrid,
-    order: int | None = None,
+    geom: CylinderGeometry, e_surface: np.ndarray, grid: AngularGrid
 ) -> ModalExpansion:
     """Modal coefficients of the outgoing field matching E_sz(R, .) samples.
 
@@ -93,17 +91,17 @@ def expansion_from_surface_field(
     2 (2M + 1) samples.
     """
     x = geom.k0r
-    if order is None:
-        order = specfun.truncation_order(x)
+    order = specfun.truncation_order(x)
     n = len(grid)
     if n < 2 * (2 * order + 1):
         raise ValueError(f"grid has {n} points; need >= {2 * (2 * order + 1)} for order {order}")
-    ms = np.arange(-order, order + 1)
     e_surface = np.asarray(e_surface, dtype=complex)
     if e_surface.shape != (n,):
         raise ValueError("surface field length must match grid length")
-    kernel = np.exp(1j * np.multiply.outer(ms, grid.values - np.pi / 2))
-    c_hat = (kernel @ e_surface) / n
+    ms = np.arange(-order, order + 1)
+    # adjoint of modal_sum: (1/n) sum_k e_k exp(j m (phi_k - pi/2))
+    # = j^m ifft(e)[m mod n] on phi_k = -pi + 2 pi k / n
+    c_hat = 1j ** (ms % 4) * np.fft.ifft(e_surface)[ms % n]
     return ModalExpansion(c_hat / specfun.hankel2(ms, x))
 
 
@@ -113,7 +111,6 @@ def far_field_po(
     grid: AngularGrid,
     out_grid: AngularGrid | None = None,
     shadow_model: str = "cancel",
-    order: int | None = None,
 ) -> PatternGrid:
     """Physical-optics far field of a prescribed reflection profile.
 
@@ -134,5 +131,5 @@ def far_field_po(
         e_s = np.where(lit, gamma * e_i, -e_i)
     else:
         e_s = np.where(lit, gamma * e_i, 0.0)
-    expansion = expansion_from_surface_field(geom, e_s, grid, order=order)
+    expansion = expansion_from_surface_field(geom, e_s, grid)
     return far_field_exact(expansion, out_grid if out_grid is not None else grid)

@@ -16,7 +16,7 @@ from pathlib import Path
 import numpy as np
 import scipy
 
-from . import __version__, exact_synth, go_synth, io, meta_atom, optimizers
+from . import __version__, exact_synth, go_synth, io, meta_atom, optimizers, specfun
 from .config import RunConfig
 from .discrete_model import (
     build_array,
@@ -74,6 +74,11 @@ def write_manifest(path, cfg: RunConfig, command: str, extra: dict | None = None
 
 def _run_continuous(cfg: RunConfig, method: str, phi_o: float, spec: SteeringSpec, outdir: Path):
     geom = _geometry(cfg)
+    # 2M+1 samples resolve the modes; the GO projection needs twice as many
+    n_modes = 2 * specfun.truncation_order(geom.k0r) + 1
+    need = n_modes if method == "exact" else 2 * n_modes
+    if cfg.grid_points < need:
+        raise ConfigError(f"output.grid_points: {method} at k0R = {geom.k0r:.4g} needs >= {need}")
     grid = AngularGrid.uniform(cfg.grid_points)
     if method == "exact":
         expansion = exact_synth.modal_coefficients(geom, phi_o)
@@ -83,10 +88,7 @@ def _run_continuous(cfg: RunConfig, method: str, phi_o: float, spec: SteeringSpe
     else:  # go
         profile = go_synth.go_impedance(geom, phi_o, grid)
         pattern = go_synth.far_field_po(
-            geom,
-            profile.gamma,
-            grid,
-            shadow_model=cfg.method_params.get("shadow_model", "cancel"),
+            geom, profile.gamma, grid, shadow_model=cfg.method_params["shadow_model"]
         )
         io.write_go_impedance_csv(outdir / "impedance.csv", profile)
     m = pattern_metrics_of(pattern, spec)
@@ -295,8 +297,6 @@ def compare_runs(run_dirs: list, outdir) -> dict:
 
 def run_validation(radius_m: float = 0.4, freq_hz: float = 3.6e9) -> list[tuple[str, bool, str]]:
     """Identity and boundary-condition suites; returns (name, ok, detail)."""
-    from . import specfun
-
     geom = CylinderGeometry(radius_m=radius_m, freq_hz=freq_hz)
     x = geom.k0r
     checks: list[tuple[str, bool, str]] = []
@@ -312,7 +312,8 @@ def run_validation(radius_m: float = 0.4, freq_hz: float = 3.6e9) -> list[tuple[
     checks.append(("wronskian_identity", worst < 1e-10, f"max rel err {worst:.2e}"))
 
     order = specfun.truncation_order(x)
-    phi = AngularGrid.uniform(721).values
+    grid = AngularGrid.uniform(721)
+    phi = grid.values
     rec = specfun.jacobi_anger(x, phi, order)
     err = float(np.abs(rec - np.exp(1j * x * np.cos(phi))).max())
     checks.append(("jacobi_anger_reconstruction", err < 1e-8, f"max abs err {err:.2e}"))
@@ -325,7 +326,7 @@ def run_validation(radius_m: float = 0.4, freq_hz: float = 3.6e9) -> list[tuple[
     for deg in (15.0, 45.0, 75.0):
         phi_o = np.radians(deg)
         expansion = exact_synth.modal_coefficients(geom, phi_o)
-        e = exact_synth.scattered_surface_field(geom, expansion, phi)
+        e = exact_synth.scattered_surface_field(geom, expansion, grid)
         worst = max(worst, float(np.abs(e - np.exp(-1j * x * np.cos(phi - phi_o))).max()))
     checks.append(("surface_field_identity", worst < 1e-6, f"max abs err {worst:.2e}"))
 

@@ -4,8 +4,9 @@ Everything here is deliberately written along a different route than the
 package code: the Bessel oracles use an extended-precision ascending series
 and a float Miller backward recurrence, the impedance oracle sums the
 boundary-condition series in reverse order with mpmath's own cylinder
-functions, and the search oracle enumerates configurations with plain
-Python loops.
+functions, the modal-sum oracle builds the dense grid x (2M+1) phase matrix
+the FFT kernel avoids, and the search oracle enumerates configurations with
+plain Python loops.
 """
 
 from __future__ import annotations
@@ -83,6 +84,13 @@ def impedance_direct(k0r: float, phi_o: float, phi: float, order: int, dps: int 
         inc = mp.e ** (-j * x * mp.cos(mp.mpf(phi)))
         z = (1 + inc * num) / (mp.cos(mp.mpf(phi)) - j * inc * den)
         return complex(z)
+
+
+def modal_sum_dense(weights: np.ndarray, phi: np.ndarray) -> np.ndarray:
+    """sum_m w_m exp(-j m phi) for m = -M..M, as one dense matrix product."""
+    order = (len(weights) - 1) // 2
+    ms = np.arange(-order, order + 1)
+    return np.exp(-1j * np.multiply.outer(phi, ms)) @ weights
 
 
 def brute_force_search(a_matrix: np.ndarray, excl: np.ndarray, state_sets) -> tuple[float, tuple]:

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 import yaml
 
+from cylris import CylinderGeometry, specfun
 from cylris.cli import main
 from cylris.config import load_config, parse_config
 from cylris.errors import ConfigError
@@ -141,6 +142,28 @@ class TestSynthCommand:
         payload = json.loads(capsys.readouterr().err.strip())
         assert payload["code"] == 2
 
+    @pytest.mark.parametrize("method", ("exact", "go"))
+    @pytest.mark.parametrize("via_cli", (False, True), ids=("yaml", "cli"))
+    def test_grid_too_coarse_for_modes(self, tmp_path, capsys, method, via_cli):
+        out = tmp_path / "run"
+        cfg = toy_config(out, method=method)
+        cfg["geometry"] = {"radius_m": 0.4, "freq_hz": 3.6e9}
+        cfg["array"] = {"n_elements": 30, "arc_pitch_m": 0.038}
+        k0r = CylinderGeometry(**cfg["geometry"]).k0r
+        n_modes = 2 * specfun.truncation_order(k0r) + 1
+        floor = n_modes if method == "exact" else 2 * n_modes
+        argv = ["synth", "-c", str(write_config(tmp_path, cfg))]
+        if via_cli:
+            argv += ["--grid-points", str(floor - 1)]
+        else:
+            cfg["output"]["grid_points"] = floor - 1
+            argv[2] = str(write_config(tmp_path, cfg))
+        assert run_cli(argv) == 2
+        payload = one_json_error(capsys)
+        assert payload["code"] == 2 and "output.grid_points" in payload["error"]
+        assert not (out / "pattern.csv").exists()
+        assert run_cli(argv[:3] + ["--grid-points", str(floor)]) == 0
+
     def test_cli_overrides(self, tmp_path):
         out = tmp_path / "a"
         out2 = tmp_path / "b"
@@ -151,7 +174,78 @@ class TestSynthCommand:
         assert not out.exists()
 
 
+def _synth_argv(tmp_path, cfg):
+    return ["synth", "-c", str(write_config(tmp_path, cfg))]
+
+
+def _ga_population_1(tmp_path):
+    cfg = toy_config(tmp_path / "run", method="ga")
+    cfg["method"]["population"] = 1
+    return _synth_argv(tmp_path, cfg)
+
+
+BAD_INPUTS = {
+    "compare_missing_run_dir": lambda tmp: ["compare", str(tmp / "missing"), "-o", str(tmp)],
+    "sigma_grid_points_100": lambda tmp: _synth_argv(
+        tmp, toy_config(tmp / "run", output={"sigma_grid_points": 100})
+    ),
+    "array_exceeds_lit_half": lambda tmp: _synth_argv(
+        tmp, toy_config(tmp / "run", geometry={"radius_m": 0.4}, array={"n_elements": 40})
+    ),
+    "ga_population_1": _ga_population_1,
+}
+
+
+def one_json_error(capsys) -> dict:
+    lines = capsys.readouterr().err.strip().splitlines()
+    assert len(lines) == 1
+    return json.loads(lines[0])
+
+
+@pytest.mark.parametrize("name", BAD_INPUTS)
+def test_bad_input_exits_2_with_one_json_line(tmp_path, capsys, name):
+    assert run_cli(BAD_INPUTS[name](tmp_path)) == 2
+    assert one_json_error(capsys)["code"] == 2
+
+
+def assert_replays(run_dir, replay_dir):
+    """Replaying run_dir's manifest into replay_dir reproduces every artifact."""
+    argv = ["synth", "--from-manifest", str(run_dir / "manifest.json"), "-o", str(replay_dir)]
+    assert run_cli(argv) == 0
+    names = sorted(f.name for f in run_dir.iterdir())
+    assert names == sorted(f.name for f in replay_dir.iterdir())
+    for name in names:
+        if name != "manifest.json":
+            assert (run_dir / name).read_bytes() == (replay_dir / name).read_bytes(), name
+    configs = [
+        json.loads((d / "manifest.json").read_text())["config"] for d in (run_dir, replay_dir)
+    ]
+    for conf in configs:
+        conf["output"].pop("directory")
+    assert configs[0] == configs[1]
+
+
 class TestDeterminism:
+    def test_sweep_sub_run_manifests_replay(self, tmp_path):
+        out = tmp_path / "sweep"
+        cfg = toy_config(out)
+        cfg["method"] = {"name": ["mpdr", "ga"], "population": 20, "generations": 3, "seed": 7}
+        cfg["steering"]["phi_o_deg"] = [10.0, 20.0]
+        assert run_cli(["sweep", "-c", str(write_config(tmp_path, cfg))]) == 0
+        subs = sorted(d for d in out.iterdir() if d.is_dir())
+        assert [d.name for d in subs] == ["ga_phi10", "ga_phi20", "mpdr_phi10", "mpdr_phi20"]
+        for sub in subs:
+            conf = json.loads((sub / "manifest.json").read_text())["config"]
+            assert ("psi_samples" in conf["method"]) == sub.name.startswith("mpdr")
+            assert_replays(sub, tmp_path / "replay" / sub.name)
+
+    def test_method_override_manifest_replays(self, tmp_path):
+        out = tmp_path / "run"
+        cfg = toy_config(out)
+        cfg["method"] = {"name": ["ga", "mpdr"], "population": 20, "generations": 3}
+        assert run_cli(["synth", "-c", str(write_config(tmp_path, cfg)), "--method", "mpdr"]) == 0
+        assert_replays(out, tmp_path / "replay")
+
     def test_manifest_round_trip_byte_identical(self, tmp_path):
         out1 = tmp_path / "r1"
         out2 = tmp_path / "r2"

@@ -1,23 +1,90 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from cylris import (
     AngularGrid,
+    CylinderGeometry,
     ModalExpansion,
     SteeringSpec,
     boundary_residual,
+    expansion_from_surface_field,
     far_field_exact,
     go_impedance,
     modal_coefficients,
+    modal_sum,
     pattern_metrics,
     scattered_surface_field,
+    specfun,
     surface_impedance,
+    wrap_angle,
 )
 from cylris.exact_synth import ImpedanceProfile
 
-from oracles import trapezoid_power
+from oracles import modal_sum_dense, trapezoid_power
 
 SWEEP_DEG = (15.0, 30.0, 45.0, 60.0, 75.0)
+
+
+def _random_weights(order: int, seed: int = 0) -> np.ndarray:
+    rng = np.random.default_rng(seed)
+    return rng.standard_normal(2 * order + 1) + 1j * rng.standard_normal(2 * order + 1)
+
+
+class TestModalSum:
+    # 2M+1 = 119 modes: odd and even grids above it, and folding grids below
+    @pytest.mark.parametrize("n", (1441, 1440, 119, 50, 7))
+    def test_matches_dense_oracle(self, n):
+        w = _random_weights(59)
+        grid = AngularGrid.uniform(n)
+        ref = modal_sum_dense(w, grid.values)
+        got = modal_sum(w, grid)
+        assert np.abs(got - ref).max() <= 1e-12 * np.abs(ref).max()
+
+    @pytest.mark.parametrize("n", (64, 9, 4))
+    def test_single_mode(self, n):
+        w = np.zeros(11, dtype=complex)
+        w[5 + 3] = 1.0  # m = 3 alone: exp(-3j phi), also when 3 > n / 2
+        grid = AngularGrid.uniform(n)
+        ref = modal_sum_dense(w, grid.values)
+        assert np.abs(modal_sum(w, grid) - ref).max() <= 1e-12
+
+    @pytest.mark.parametrize("extra", (0, 1))
+    def test_go_projection_is_the_adjoint(self, geom, extra):
+        # <modal_sum(w), v> = <w, A^H v>, with A^H v read back from the GO
+        # projection c_m = (1/n) (-j)^m (A^H v)_m / H_m(k0 R)
+        order = specfun.truncation_order(geom.k0r)
+        ms = np.arange(-order, order + 1)
+        n = 2 * (2 * order + 1) + extra
+        grid = AngularGrid.uniform(n)
+        rng = np.random.default_rng(3)
+        v = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+        w = _random_weights(order, 4)
+        c = expansion_from_surface_field(geom, v, grid).coeffs
+        adjoint_v = n * 1j ** (ms % 4) * c * specfun.hankel2(ms, geom.k0r)
+        lhs = np.vdot(v, modal_sum(w, grid))
+        rhs = np.vdot(adjoint_v, w)
+        assert abs(lhs - rhs) <= 1e-12 * np.linalg.norm(v) * np.linalg.norm(modal_sum(w, grid))
+
+    def test_large_electrical_size_is_cheap(self):
+        # k0R ~ 3.0e4 (40 m at 36 GHz, 2M+1 ~ 6.1e4 modes): the dense
+        # grid x (2M+1) phase matrices of this case took 6.7 GB
+        geom = CylinderGeometry(radius_m=40.0, freq_hz=36e9)
+        assert geom.k0r == pytest.approx(3.0e4, rel=0.01)
+        grid = AngularGrid.uniform(65536)
+        phi_o = np.radians(30.0)
+        tracemalloc.start()
+        try:
+            e = modal_coefficients(geom, phi_o)
+            res = boundary_residual(geom, e, surface_impedance(geom, e, grid))
+            mag = far_field_exact(e, grid).magnitude
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert np.nanmax(res) < 1e-8
+        assert peak < 500e6
+        assert abs(wrap_angle(grid.values[mag.argmax()] - phi_o)) <= grid.spacing
 
 
 class TestModalCoefficients:
@@ -43,8 +110,9 @@ class TestModalCoefficients:
         # the expansion must reproduce the steered surface wavefront
         phi_o = np.radians(deg)
         e = modal_coefficients(geom, phi_o)
-        phi = AngularGrid.uniform(1441).values
-        got = scattered_surface_field(geom, e, phi)
+        grid = AngularGrid.uniform(1441)
+        phi = grid.values
+        got = scattered_surface_field(geom, e, grid)
         target = np.exp(-1j * geom.k0r * np.cos(phi - phi_o))
         assert np.abs(got - target).max() < 1e-6
 

@@ -49,13 +49,16 @@ class TestAngularGrid:
         assert g.values[-1] < np.pi
         assert g.spacing == pytest.approx(2 * np.pi / 360)
 
-    def test_rejects_nonuniform(self):
-        with pytest.raises(ValueError):
-            AngularGrid(np.array([0.0, 0.1, 0.3]))
-
-    def test_rejects_decreasing(self):
-        with pytest.raises(ValueError):
-            AngularGrid(np.array([0.2, 0.1]))
+    def test_full_circle_by_construction(self):
+        for n in (2, 7, 360):
+            k = np.arange(n)
+            assert np.array_equal(AngularGrid.uniform(n).values, -np.pi + 2 * np.pi * k / n)
+        for n in (1, 0, -3):
+            with pytest.raises(ValueError):
+                AngularGrid.uniform(n)
+        # there is no constructor from arbitrary sample values
+        with pytest.raises(TypeError):
+            AngularGrid(np.linspace(-0.5, 0.5, 101))
 
     def test_nearest_index_wraps(self):
         g = AngularGrid.uniform(360)
