@@ -56,9 +56,22 @@ class TestAngularGrid:
         for n in (1, 0, -3):
             with pytest.raises(ValueError):
                 AngularGrid.uniform(n)
+
+    def test_rejects_nonuniform(self):
         # there is no constructor from arbitrary sample values
         with pytest.raises(TypeError):
-            AngularGrid(np.linspace(-0.5, 0.5, 101))
+            AngularGrid(np.array([0.0, 0.1, 0.3]))
+        # and a uniform grid cannot be made non-uniform in place
+        g = AngularGrid.uniform(8)
+        with pytest.raises(ValueError):
+            g.values[1] = 0.3
+        assert np.allclose(np.diff(g.values), g.spacing)
+
+    def test_rejects_decreasing(self):
+        with pytest.raises(TypeError):
+            AngularGrid(np.array([0.2, 0.1]))
+        for n in (2, 7, 360):
+            assert np.all(np.diff(AngularGrid.uniform(n).values) > 0)
 
     def test_nearest_index_wraps(self):
         g = AngularGrid.uniform(360)
