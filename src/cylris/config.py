@@ -200,13 +200,12 @@ def parse_config(raw: dict) -> RunConfig:
     for nm in names:
         allowed_params |= set(_METHOD_PARAMS[nm])
     _check_unknown(meth, allowed_params, "method")
-    method_params: dict = {}
-    for nm in names:
-        for key, (typ, default) in _METHOD_PARAMS[nm].items():
-            if key in method_params:
-                continue
-            method_params[key] = _get(meth, key, typ, "method", default=default)
-    if "shadow_model" in method_params and method_params["shadow_model"] not in ("cancel", "none"):
+    # every method's parameters, defaulted, so a --method override finds its own
+    method_params = {
+        key: _get(meth, key, typ, "method", default=default)
+        for params in _METHOD_PARAMS.values() for key, (typ, default) in params.items()
+    }
+    if method_params["shadow_model"] not in ("cancel", "none"):
         raise ConfigError("method.shadow_model: must be 'cancel' or 'none'")
 
     out = _require_mapping(raw.get("output"), "output")

@@ -33,6 +33,7 @@ __all__ = [
     "ImpedanceProfile",
     "modal_coefficients",
     "modal_sum",
+    "required_grid_points",
     "scattered_surface_field",
     "surface_impedance",
     "far_field_exact",
@@ -110,6 +111,14 @@ def modal_coefficients(
     return ModalExpansion(c)
 
 
+def _folded_fft(w: np.ndarray, n: int) -> np.ndarray:
+    """sum_m w_m exp(-2 pi j m k / n), m = -M..M, k = 0..n-1: one FFT of w folded mod n."""
+    ms = np.arange(w.shape[-1]) - (w.shape[-1] - 1) // 2
+    folded = np.zeros(w.shape[:-1] + (n,), dtype=complex)
+    np.add.at(folded.T, ms % n, w.T)
+    return np.fft.fft(folded, axis=-1)
+
+
 def modal_sum(weights, grid: AngularGrid) -> np.ndarray:
     """sum_m w_m exp(-j m phi_k), m = -M..M, on every sample of `grid`.
 
@@ -120,9 +129,12 @@ def modal_sum(weights, grid: AngularGrid) -> np.ndarray:
     """
     w = np.asarray(weights, dtype=complex)
     ms = np.arange(w.shape[-1]) - (w.shape[-1] - 1) // 2
-    folded = np.zeros(w.shape[:-1] + (len(grid),), dtype=complex)
-    np.add.at(folded.T, ms % len(grid), np.where(ms % 2, -w, w).T)
-    return np.fft.fft(folded, axis=-1)
+    return _folded_fft(np.where(ms % 2, -w, w), len(grid))
+
+
+def required_grid_points(k0r: float, method: str) -> int:
+    """2M + 1 samples resolve the modes for "exact"; the "go" projection needs twice as many."""
+    return (2 * specfun.truncation_order(k0r) + 1) * {"exact": 1, "go": 2}[method]
 
 
 def _scattered_fields(geom: CylinderGeometry, expansion: ModalExpansion, grid: AngularGrid):
@@ -171,8 +183,8 @@ def far_field_exact(expansion: ModalExpansion, grid: AngularGrid) -> PatternGrid
     large-argument Hankel form substituted; constant prefactors are dropped
     because all reported patterns are normalized.
     """
-    weights = ((-1.0) ** expansion.orders) * expansion.coeffs
-    return PatternGrid(grid=grid, f=modal_sum(weights, grid))
+    # on phi_k = -pi + 2 pi k / G, (-1)^m exp(-j m phi_k) = exp(-2 pi j m k / G)
+    return PatternGrid(grid=grid, f=_folded_fft(expansion.coeffs, len(grid)))
 
 
 def boundary_residual(

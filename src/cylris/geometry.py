@@ -110,7 +110,7 @@ class AngularGrid:
         n_points = operator.index(n_points)
         if n_points < 2:
             raise ValueError("need at least two grid points")
-        grid = object.__new__(cls)
+        grid = cls()
         grid.values = -np.pi + 2 * np.pi * np.arange(n_points) / n_points
         grid.values.setflags(write=False)
         return grid

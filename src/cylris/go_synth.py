@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import specfun
-from .exact_synth import ModalExpansion, far_field_exact
+from .exact_synth import ModalExpansion, far_field_exact, required_grid_points
 from .geometry import AngularGrid, CylinderGeometry, incident_field, wrap_angle
 from .patterns import PatternGrid
 
@@ -93,8 +93,8 @@ def expansion_from_surface_field(
     x = geom.k0r
     order = specfun.truncation_order(x)
     n = len(grid)
-    if n < 2 * (2 * order + 1):
-        raise ValueError(f"grid has {n} points; need >= {2 * (2 * order + 1)} for order {order}")
+    if n < required_grid_points(x, "go"):
+        raise ValueError(f"grid has {n} points, below required_grid_points for order {order}")
     e_surface = np.asarray(e_surface, dtype=complex)
     if e_surface.shape != (n,):
         raise ValueError("surface field length must match grid length")

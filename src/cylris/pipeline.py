@@ -74,9 +74,7 @@ def write_manifest(path, cfg: RunConfig, command: str, extra: dict | None = None
 
 def _run_continuous(cfg: RunConfig, method: str, phi_o: float, spec: SteeringSpec, outdir: Path):
     geom = _geometry(cfg)
-    # 2M+1 samples resolve the modes; the GO projection needs twice as many
-    n_modes = 2 * specfun.truncation_order(geom.k0r) + 1
-    need = n_modes if method == "exact" else 2 * n_modes
+    need = exact_synth.required_grid_points(geom.k0r, method)
     if cfg.grid_points < need:
         raise ConfigError(f"output.grid_points: {method} at k0R = {geom.k0r:.4g} needs >= {need}")
     grid = AngularGrid.uniform(cfg.grid_points)
@@ -107,19 +105,14 @@ def _run_discrete(cfg: RunConfig, method: str, phi_o: float, spec: SteeringSpec,
     params = cfg.method_params
     if method == "es":
         result = optimizers.exhaustive_search(
-            table_obj, spec, state_sets, budget=params.get("budget", 2**24),
-            workers=params.get("workers", 1),
+            table_obj, spec, state_sets, budget=params["budget"], workers=params["workers"]
         )
     elif method == "ga":
         ga_cfg = optimizers.GaConfig(
-            population=params.get("population", 1000),
-            generations=params.get("generations", 200),
-            p_crossover=params.get("p_crossover", 0.9),
-            p_mutation=params.get("p_mutation", 0.05),
+            population=params["population"], generations=params["generations"],
+            p_crossover=params["p_crossover"], p_mutation=params["p_mutation"],
         )
-        result = optimizers.ga_synthesize(
-            table_obj, spec, state_sets, config=ga_cfg, seed=params.get("seed", 0)
-        )
+        result = optimizers.ga_synthesize(table_obj, spec, state_sets, config=ga_cfg, seed=params["seed"])
     elif method == "mpdr":
         table_sigma = steering_vector(
             array, AngularGrid.uniform(cfg.sigma_grid_points), cfg.element_pattern
@@ -127,8 +120,7 @@ def _run_discrete(cfg: RunConfig, method: str, phi_o: float, spec: SteeringSpec,
         sig = optimizers.build_sigma(table_sigma, spec)
         result = optimizers.mpdr_synthesize(
             table_sigma, sig, spec, state_sets,
-            psi_samples=params.get("psi_samples", 360),
-            psi_refine=params.get("psi_refine", 0),
+            psi_samples=params["psi_samples"], psi_refine=params["psi_refine"],
         )
     elif method == "go_q":
         result = optimizers.go_quantized(array, phi_o, state_sets, table=table_obj, spec=spec)

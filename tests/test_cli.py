@@ -246,6 +246,23 @@ class TestDeterminism:
         assert run_cli(["synth", "-c", str(write_config(tmp_path, cfg)), "--method", "mpdr"]) == 0
         assert_replays(out, tmp_path / "replay")
 
+    @pytest.mark.parametrize("method", ["exact", "go", "es", "mpdr"])
+    def test_override_to_unconfigured_method_replays(self, tmp_path, method):
+        # go_q has no parameters, so the run needs the override's own defaults
+        out = tmp_path / "run"
+        path = write_config(tmp_path, toy_config(tmp_path / "base", method="go_q"))
+        assert run_cli(["synth", "-c", str(path), "--method", method, "-o", str(out)]) == 0
+        assert_replays(out, tmp_path / "replay")
+
+    def test_go_override_of_mpdr_manifest_replays(self, tmp_path):
+        base, out = tmp_path / "mpdr", tmp_path / "go"
+        assert run_cli(["synth", "-c", str(write_config(tmp_path, toy_config(base)))]) == 0
+        argv = ["synth", "--from-manifest", str(base / "manifest.json"), "--method", "go"]
+        assert run_cli(argv + ["-o", str(out)]) == 0
+        method = json.loads((out / "manifest.json").read_text())["config"]["method"]
+        assert method == {"name": ["go"], "shadow_model": "cancel"}
+        assert_replays(out, tmp_path / "replay")
+
     def test_manifest_round_trip_byte_identical(self, tmp_path):
         out1 = tmp_path / "r1"
         out2 = tmp_path / "r2"
