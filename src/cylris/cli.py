@@ -73,10 +73,14 @@ def _apply_overrides(cfg: RunConfig, args: argparse.Namespace) -> RunConfig:
     if getattr(args, "method", None):
         updates["methods"] = (args.method,)
     if getattr(args, "phi_o_deg", None) is not None:
+        if not np.isfinite(args.phi_o_deg):
+            raise ConfigError(f"steering.phi_o_deg: must be finite, got {args.phi_o_deg}")
         updates["phi_o_deg"] = (args.phi_o_deg,)
     if getattr(args, "output_dir", None):
         updates["output_dir"] = args.output_dir
-    if getattr(args, "grid_points", None):
+    if getattr(args, "grid_points", None) is not None:
+        if args.grid_points < 2:
+            raise ConfigError(f"output.grid_points: must be >= 2, got {args.grid_points}")
         updates["grid_points"] = args.grid_points
     if getattr(args, "seed", None) is not None:
         params["seed"] = args.seed

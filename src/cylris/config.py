@@ -7,6 +7,7 @@ into the run manifest; feeding that dictionary back reproduces the run.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -56,6 +57,8 @@ def _get(d: dict, key: str, typ, path: str, default=None, required: bool = False
             raise ConfigError(f"{path}.{key}: required")
         return default
     v = d[key]
+    if isinstance(v, bool) != (typ is bool):  # bool is an int subclass; never coerce it
+        raise ConfigError(f"{path}.{key}: expected {typ.__name__}, got {type(v).__name__}")
     if typ is float and isinstance(v, int):
         v = float(v)
     if typ is float and isinstance(v, str):
@@ -66,8 +69,10 @@ def _get(d: dict, key: str, typ, path: str, default=None, required: bool = False
             pass
     if typ is int and isinstance(v, float) and v.is_integer():
         v = int(v)
-    if not isinstance(v, typ) or isinstance(v, bool) and typ is not bool:
+    if not isinstance(v, typ):
         raise ConfigError(f"{path}.{key}: expected {typ.__name__}, got {type(v).__name__}")
+    if typ is float and not math.isfinite(v):
+        raise ConfigError(f"{path}.{key}: must be finite, got {v}")
     return v
 
 
@@ -155,14 +160,15 @@ def parse_config(raw: dict) -> RunConfig:
     phi_raw = steer.get("phi_o_deg")
     if phi_raw is None:
         raise ConfigError("steering.phi_o_deg: required")
-    if isinstance(phi_raw, (int, float)) and not isinstance(phi_raw, bool):
-        phi_list = [float(phi_raw)]
-    elif isinstance(phi_raw, list) and phi_raw and all(
-        isinstance(x, (int, float)) and not isinstance(x, bool) for x in phi_raw
+    phi_list = phi_raw if isinstance(phi_raw, list) else [phi_raw]
+    if not phi_list or not all(
+        isinstance(x, (int, float)) and not isinstance(x, bool) and math.isfinite(x)
+        for x in phi_list
     ):
-        phi_list = [float(x) for x in phi_raw]
-    else:
-        raise ConfigError("steering.phi_o_deg: expected a number or a nonempty list of numbers")
+        raise ConfigError(
+            "steering.phi_o_deg: expected a finite number or a nonempty list of finite numbers"
+        )
+    phi_list = [float(x) for x in phi_list]
     delta_phi_mode = _get(steer, "delta_phi_mode", str, "steering", default="ref_factor")
     if delta_phi_mode not in ("ref_factor", "absolute_deg"):
         raise ConfigError("steering.delta_phi_mode: must be 'ref_factor' or 'absolute_deg'")

@@ -125,11 +125,22 @@ class SteeringVectorTable:
 def steering_vector(
     array: ElementArray, grid: AngularGrid, element_pattern: str = "cos"
 ) -> SteeringVectorTable:
-    """Tabulate a_n(phi) for every grid angle and element."""
+    """Tabulate a_n(phi) for every grid angle and element.
+
+    The phase is built in place, which keeps the peak memory of the large
+    Sigma-grid table down.
+    """
     delta = wrap_angle(grid.values[:, None] - array.alphas[None, :])
     gain = _element_gain(delta, array.alphas[None, :], element_pattern)
-    phase = np.exp(1j * array.geom.k0r * (np.cos(delta) + np.cos(array.alphas)[None, :]))
-    return SteeringVectorTable(grid=grid, a=gain * phase, array=array, element_pattern=element_pattern)
+    arg = np.cos(delta)
+    del delta
+    arg += np.cos(array.alphas)
+    arg *= array.geom.k0r
+    a = 1j * arg
+    del arg
+    np.exp(a, out=a)
+    a *= gain
+    return SteeringVectorTable(grid=grid, a=a, array=array, element_pattern=element_pattern)
 
 
 def steering_vector_at(array: ElementArray, phi: float, element_pattern: str = "cos") -> np.ndarray:

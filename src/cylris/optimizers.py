@@ -90,6 +90,7 @@ def build_sigma(
     table: SteeringVectorTable,
     spec: SteeringSpec,
     check_convergence: bool = True,
+    sigma: np.ndarray | None = None,
 ) -> SigmaMatrices:
     """Periodic trapezoid quadrature of a*(phi) a^T(phi) over the table grid.
 
@@ -99,26 +100,29 @@ def build_sigma(
     (the element-pattern support edges limit plain trapezoid convergence, so
     coarse grids do trip this). Sigma_S carries an O(h) boundary term from
     the exclusion-set indicator and is excluded from the check.
+
+    Sigma does not depend on the steering spec: pass the `sigma` of an
+    earlier call on the same table to build only Sigma_S.
     """
     n = len(table.grid)
     if n < 721:
         raise ValueError("sigma quadrature grid must have at least 721 points")
     w = table.grid.spacing
     a = table.a
-    sigma = _hermitize((a.conj().T @ a) * w)
-    excl = exclusion_set_mask(spec, table.grid)
-    ae = a[excl]
+    if sigma is None:
+        sigma = _hermitize((a.conj().T @ a) * w)
+        if check_convergence and n % 2 == 0:
+            half = a[::2]
+            sigma_half = _hermitize((half.conj().T @ half) * (2 * w))
+            rel = np.abs(sigma - sigma_half).max() / np.abs(sigma).max()
+            if rel > SIGMA_CONVERGENCE_RTOL:
+                warnings.warn(
+                    f"sigma quadrature not converged: halving the grid changes entries "
+                    f"by {rel:.2e} relative (> {SIGMA_CONVERGENCE_RTOL:.0e}); increase the grid",
+                    stacklevel=2,
+                )
+    ae = a[exclusion_set_mask(spec, table.grid)]
     sigma_s = _hermitize((ae.conj().T @ ae) * w)
-    if check_convergence and n % 2 == 0:
-        half = a[::2]
-        sigma_half = _hermitize((half.conj().T @ half) * (2 * w))
-        rel = np.abs(sigma - sigma_half).max() / np.abs(sigma).max()
-        if rel > SIGMA_CONVERGENCE_RTOL:
-            warnings.warn(
-                f"sigma quadrature not converged: halving the grid changes entries "
-                f"by {rel:.2e} relative (> {SIGMA_CONVERGENCE_RTOL:.0e}); increase the grid",
-                stacklevel=2,
-            )
     return SigmaMatrices(sigma=sigma, sigma_s=sigma_s, grid_points=n)
 
 
@@ -153,22 +157,26 @@ def mpdr_relaxed(
     return ExcitationVector(gamma=lam * x * np.exp(1j * psi), provenance="mpdr_relaxed")
 
 
-def project_to_states(gamma, state_sets: list[np.ndarray]) -> ExcitationVector:
+def project_to_states(
+    gamma, state_sets: list[np.ndarray]
+) -> ExcitationVector | tuple[np.ndarray, np.ndarray]:
     """Element-wise nearest-state quantization (Euclidean complex distance).
 
+    The one projection kernel: `gamma` is one excitation (N,) or a batch
+    (..., N), and one broadcast argmin over (..., N, L) projects them all.
     Ties break toward the lowest state index; the projection is idempotent.
+    Returns an ExcitationVector for one excitation, and the arrays
+    (values, state_indices), both shaped like `gamma`, for a batch.
     """
     g = gamma.gamma if isinstance(gamma, ExcitationVector) else np.asarray(gamma, dtype=complex)
-    if g.shape != (len(state_sets),):
+    if g.shape[-1:] != (len(state_sets),):
         raise ValueError("gamma length must equal the number of state sets")
-    idx = np.empty(g.size, dtype=np.int64)
-    out = np.empty(g.size, dtype=complex)
-    for n, states in enumerate(state_sets):
-        d = np.abs(states - g[n])
-        i = int(np.argmin(d))  # argmin returns the first (lowest) index on ties
-        idx[n] = i
-        out[n] = states[i]
-    return ExcitationVector(gamma=out, provenance="projected", state_indices=idx)
+    states = np.vstack(state_sets)  # (N, L)
+    idx = np.argmin(np.abs(states - g[..., None]), axis=-1)  # first (lowest) index on ties
+    values = states[np.arange(g.shape[-1]), idx]
+    if g.ndim > 1:
+        return values, idx
+    return ExcitationVector(gamma=values, provenance="projected", state_indices=idx)
 
 
 def sll_objective(table: SteeringVectorTable, spec: SteeringSpec, gamma) -> float:
@@ -203,7 +211,6 @@ def mpdr_synthesize(
     state_sets: list[np.ndarray],
     psi_samples: int = 360,
     psi_refine: int = 0,
-    rho: float = 1.0,
 ) -> SynthesisResult:
     """Project the relaxed MPDR solution at each constraint phase psi and
     keep the projection with the least exclusion-set power.
@@ -211,9 +218,10 @@ def mpdr_synthesize(
     The overall amplitude does not move the projection for near-unimodular
     states, so the constraint scalar is dropped and only psi is swept
     (uniform grid over [-pi, pi), optionally refined around the minimum).
-    Fully deterministic.
+    Every psi of a scan is projected in one `project_to_states` broadcast;
+    each candidate is then scored as g^H Sigma_S g in ascending psi, and the
+    first minimum wins. Fully deterministic.
     """
-    del rho  # amplitude-insensitive; kept for signature symmetry
     t0 = time.perf_counter()
     if sig.grid_points != len(table.grid):
         raise ValueError("sigma matrices were built on a different grid than the table")
@@ -221,37 +229,25 @@ def mpdr_synthesize(
     a_o = steering_vector_at(table.array, spec.phi_o, table.element_pattern)
     x = _solve_sigma(sig.sigma, a_o.conj())
 
-    def score(candidate: ExcitationVector) -> float:
-        g = candidate.gamma
-        return float((g.conj() @ (sig.sigma_s @ g)).real)
+    def scan(psis: np.ndarray) -> tuple:
+        values, idx = project_to_states(x[None, :] * np.exp(1j * psis)[:, None], state_sets)
+        scores = [float((g.conj() @ (sig.sigma_s @ g)).real) for g in values]
+        k = int(np.argmin(scores))  # the first (lowest-psi) minimum
+        return scores[k], values[k], idx[k], float(psis[k])
 
-    best: tuple[float, ExcitationVector, float] | None = None
-    evaluations = 0
-    for k in range(psi_samples):
-        psi = -np.pi + 2 * np.pi * k / psi_samples
-        cand = project_to_states(x * np.exp(1j * psi), state_sets)
-        s = score(cand)
-        evaluations += 1
-        if best is None or s < best[0]:
-            best = (s, cand, psi)
+    best = scan(-np.pi + 2 * np.pi * np.arange(psi_samples) / psi_samples)
     if psi_refine > 0:
         step = 2 * np.pi / psi_samples
-        for j in range(psi_refine):
-            psi = best[2] - step + 2 * step * (j + 1) / (psi_refine + 1)
-            cand = project_to_states(x * np.exp(1j * psi), state_sets)
-            s = score(cand)
-            evaluations += 1
-            if s < best[0]:
-                best = (s, cand, psi)
-    gamma = ExcitationVector(
-        gamma=best[1].gamma, provenance="mpdr", state_indices=best[1].state_indices
-    )
+        refined = scan(best[3] - step + 2 * step * np.arange(1, psi_refine + 1) / (psi_refine + 1))
+        if refined[0] < best[0]:
+            best = refined
+    score, values, idx, _ = best
     return SynthesisResult(
         method="mpdr",
-        gamma=gamma,
-        objective=best[0],
+        gamma=ExcitationVector(gamma=values, provenance="mpdr", state_indices=idx),
+        objective=score,
         objective_kind="sidelobe_power",
-        evaluations=evaluations,
+        evaluations=psi_samples + psi_refine,
         wall_time_s=time.perf_counter() - t0,
     )
 
@@ -385,6 +381,15 @@ class GaConfig:
                 raise ValueError("probabilities must lie in [0, 1]")
 
 
+def _crossover(children: np.ndarray, do_cross: np.ndarray, masks: np.ndarray) -> None:
+    """Uniform crossover in place: pair k (rows 2k, 2k+1) swaps its genes
+    where masks[k], if do_cross[k]."""
+    n = 2 * do_cross.size
+    swap = do_cross[:, None] & masks
+    even, odd = children[0:n:2], children[1:n:2]
+    children[0:n:2], children[1:n:2] = np.where(swap, odd, even), np.where(swap, even, odd)
+
+
 def ga_synthesize(
     table: SteeringVectorTable,
     spec: SteeringSpec,
@@ -429,11 +434,7 @@ def ga_synthesize(
         children = pop[winners].copy()
         do_cross = rng.random(n_pairs) < cfg.p_crossover
         masks = rng.random((n_pairs, n_el)) < 0.5
-        for k in np.nonzero(do_cross)[0]:
-            m = masks[k]
-            a_row = children[2 * k].copy()
-            children[2 * k][m] = children[2 * k + 1][m]
-            children[2 * k + 1][m] = a_row[m]
+        _crossover(children, do_cross, masks)
         if n_states > 1:
             mutate = rng.random((n_children, n_el)) < cfg.p_mutation
             draws = rng.integers(0, n_states - 1, size=(n_children, n_el))

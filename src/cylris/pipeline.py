@@ -26,19 +26,54 @@ from .discrete_model import (
     steering_vector,
 )
 from .errors import ConfigError
-from .geometry import AngularGrid, CylinderGeometry, SteeringSpec, wrap_angle
+from .geometry import AngularGrid, CylinderGeometry, SteeringSpec, exclusion_set_mask, wrap_angle
 
 __all__ = ["run_single", "run_sweep", "build_comparison", "run_validation", "write_manifest"]
 
 
-def _geometry(cfg: RunConfig) -> CylinderGeometry:
-    return CylinderGeometry(radius_m=cfg.radius_m, freq_hz=cfg.freq_hz)
+class _ArrayContext:
+    """The per-array work of a run, built on first use and then kept.
 
+    Every case of a sweep shares one geometry, array, element pattern and
+    set of grid sizes, so `run_sweep` hands one context to all of them: each
+    steering table (keyed by grid size), the boresight reference window and
+    the angle-free full Sigma are built once. Only Sigma_S depends on the
+    angle. `clear` drops the kept arrays; the context rebuilds them on demand.
+    """
 
-def _array(cfg: RunConfig, geom: CylinderGeometry):
-    if cfg.n_elements is None:
-        return None
-    return build_array(geom, cfg.n_elements, cfg.arc_pitch_m)
+    def __init__(self, cfg: RunConfig):
+        self.geom = CylinderGeometry(radius_m=cfg.radius_m, freq_hz=cfg.freq_hz)
+        self.array = (
+            None if cfg.n_elements is None
+            else build_array(self.geom, cfg.n_elements, cfg.arc_pitch_m)
+        )
+        self.element_pattern = cfg.element_pattern
+        self._kept: dict = {}
+
+    def _once(self, key, build):
+        if key not in self._kept:
+            self._kept[key] = build()
+        return self._kept[key]
+
+    def table(self, n_points: int):
+        return self._once(
+            n_points,
+            lambda: steering_vector(self.array, AngularGrid.uniform(n_points), self.element_pattern),
+        )
+
+    def reference_window(self) -> float:
+        """The boresight null-based lobe width (`reference_window` at factor 1)."""
+        return self._once("reference", lambda: reference_window(self.array, factor=1.0))
+
+    def sigma(self, n_points: int, spec: SteeringSpec):
+        """The Sigma-grid table and its matrices for `spec`; Sigma is built once."""
+        table = self.table(n_points)
+        sig = optimizers.build_sigma(table, spec, sigma=self._kept.get(("sigma", n_points)))
+        self._kept[("sigma", n_points)] = sig.sigma
+        return table, sig
+
+    def clear(self) -> None:
+        self._kept.clear()
 
 
 def _state_table(cfg: RunConfig) -> meta_atom.StateTable:
@@ -47,12 +82,21 @@ def _state_table(cfg: RunConfig) -> meta_atom.StateTable:
     return meta_atom.ideal_one_bit(taper=cfg.meta_atom_model)
 
 
-def _delta_phi(cfg: RunConfig, array) -> float:
+def _delta_phi(cfg: RunConfig, ctx: _ArrayContext) -> float:
     if cfg.delta_phi_mode == "absolute_deg":
         return float(np.radians(cfg.delta_phi_value))
-    if array is None:
+    if ctx.array is None:
         raise ConfigError("delta_phi_mode 'ref_factor' needs an array block")
-    return reference_window(array, factor=cfg.delta_phi_value)
+    return cfg.delta_phi_value * ctx.reference_window()
+
+
+def _require_window_sample(spec: SteeringSpec, n_points: int, key: str) -> None:
+    """Refuse a grid whose every sample lies in the exclusion set."""
+    if exclusion_set_mask(spec, AngularGrid.uniform(n_points)).all():
+        raise ConfigError(
+            f"output.{key}: no sample of the {n_points}-point grid lies inside the "
+            f"{np.degrees(spec.delta_phi):.4g} deg protected window"
+        )
 
 
 def write_manifest(path, cfg: RunConfig, command: str, extra: dict | None = None) -> None:
@@ -72,8 +116,10 @@ def write_manifest(path, cfg: RunConfig, command: str, extra: dict | None = None
     io.write_json(path, payload)
 
 
-def _run_continuous(cfg: RunConfig, method: str, phi_o: float, spec: SteeringSpec, outdir: Path):
-    geom = _geometry(cfg)
+def _run_continuous(
+    cfg: RunConfig, ctx: _ArrayContext, method: str, phi_o: float, spec: SteeringSpec, outdir: Path
+):
+    geom = ctx.geom
     need = exact_synth.required_grid_points(geom.k0r, method)
     if cfg.grid_points < need:
         raise ConfigError(f"output.grid_points: {method} at k0R = {geom.k0r:.4g} needs >= {need}")
@@ -95,39 +141,43 @@ def _run_continuous(cfg: RunConfig, method: str, phi_o: float, spec: SteeringSpe
     return pattern, m, None
 
 
-def _run_discrete(cfg: RunConfig, method: str, phi_o: float, spec: SteeringSpec, outdir: Path):
-    geom = _geometry(cfg)
-    array = _array(cfg, geom)
-    table_obj = steering_vector(array, AngularGrid.uniform(cfg.objective_grid_points), cfg.element_pattern)
+def _run_discrete(
+    cfg: RunConfig, ctx: _ArrayContext, method: str, phi_o: float, spec: SteeringSpec, outdir: Path
+):
+    score_key = "sigma_grid_points" if method == "mpdr" else "objective_grid_points"
+    for key in (score_key, "grid_points"):
+        _require_window_sample(spec, getattr(cfg, key), key)
+    array = ctx.array
     state_table = _state_table(cfg)
     state_sets = meta_atom.state_sets_for_array(state_table, array)
     io.write_state_sets_json(outdir / "states.json", array, state_sets, state_table.metadata)
     params = cfg.method_params
     if method == "es":
         result = optimizers.exhaustive_search(
-            table_obj, spec, state_sets, budget=params["budget"], workers=params["workers"]
+            ctx.table(cfg.objective_grid_points), spec, state_sets,
+            budget=params["budget"], workers=params["workers"],
         )
     elif method == "ga":
         ga_cfg = optimizers.GaConfig(
             population=params["population"], generations=params["generations"],
             p_crossover=params["p_crossover"], p_mutation=params["p_mutation"],
         )
-        result = optimizers.ga_synthesize(table_obj, spec, state_sets, config=ga_cfg, seed=params["seed"])
-    elif method == "mpdr":
-        table_sigma = steering_vector(
-            array, AngularGrid.uniform(cfg.sigma_grid_points), cfg.element_pattern
+        result = optimizers.ga_synthesize(
+            ctx.table(cfg.objective_grid_points), spec, state_sets, config=ga_cfg, seed=params["seed"]
         )
-        sig = optimizers.build_sigma(table_sigma, spec)
+    elif method == "mpdr":
+        table_sigma, sig = ctx.sigma(cfg.sigma_grid_points, spec)
         result = optimizers.mpdr_synthesize(
             table_sigma, sig, spec, state_sets,
             psi_samples=params["psi_samples"], psi_refine=params["psi_refine"],
         )
     elif method == "go_q":
-        result = optimizers.go_quantized(array, phi_o, state_sets, table=table_obj, spec=spec)
+        result = optimizers.go_quantized(
+            array, phi_o, state_sets, table=ctx.table(cfg.objective_grid_points), spec=spec
+        )
     else:  # pragma: no cover - guarded by config validation
         raise ConfigError(f"unknown discrete method {method}")
-    table_fine = steering_vector(array, AngularGrid.uniform(cfg.grid_points), cfg.element_pattern)
-    pattern = far_field_discrete(table_fine, result.gamma)
+    pattern = far_field_discrete(ctx.table(cfg.grid_points), result.gamma)
     m = pattern_metrics_of(pattern, spec)
     io.write_pattern_csv(outdir / "pattern.csv", pattern)
     io.write_metrics_json(outdir / "metrics.json", m)
@@ -135,23 +185,24 @@ def _run_discrete(cfg: RunConfig, method: str, phi_o: float, spec: SteeringSpec,
     return pattern, m, result
 
 
-def run_single(cfg: RunConfig, outdir=None, command: str = "synth"):
-    """Run one (method, steering angle) synthesis and write its artifacts."""
+def run_single(cfg: RunConfig, outdir=None, command: str = "synth", _context=None):
+    """Run one (method, steering angle) synthesis and write its artifacts.
+
+    `_context` is the per-array work `run_sweep` shares between the cases of
+    one sweep; without it the run builds its own.
+    """
     if len(cfg.methods) != 1 or len(cfg.phi_o_deg) != 1:
         raise ConfigError("run_single needs exactly one method and one steering angle")
+    ctx = _context if _context is not None else _ArrayContext(cfg)
     method = cfg.methods[0]
     phi_o = float(np.radians(cfg.phi_o_deg[0]))
-    geom = _geometry(cfg)
-    array = _array(cfg, geom)
-    spec = SteeringSpec(phi_o=phi_o, delta_phi=_delta_phi(cfg, array))
-    if array is not None:
-        spec.warn_if_below_reference(reference_window(array, factor=1.0))
+    spec = SteeringSpec(phi_o=phi_o, delta_phi=_delta_phi(cfg, ctx))
+    if ctx.array is not None:
+        spec.warn_if_below_reference(ctx.reference_window())
     outdir = Path(outdir if outdir is not None else cfg.output_dir)
     outdir.mkdir(parents=True, exist_ok=True)
-    if method in ("exact", "go"):
-        pattern, m, result = _run_continuous(cfg, method, phi_o, spec, outdir)
-    else:
-        pattern, m, result = _run_discrete(cfg, method, phi_o, spec, outdir)
+    run = _run_continuous if method in ("exact", "go") else _run_discrete
+    pattern, m, result = run(cfg, ctx, method, phi_o, spec, outdir)
     write_manifest(outdir / "manifest.json", cfg, command)
     return {
         "method": method,
@@ -168,12 +219,15 @@ def run_sweep(cfg: RunConfig, outdir=None):
     outdir = Path(outdir if outdir is not None else cfg.output_dir)
     outdir.mkdir(parents=True, exist_ok=True)
     entries = []
-    for method in cfg.methods:
-        for phi_deg in cfg.phi_o_deg:
-            sub = outdir / f"{method}_phi{phi_deg:g}"
-            one = replace(cfg, methods=(method,), phi_o_deg=(phi_deg,), output_dir=str(sub))
-            summary = run_single(one, outdir=sub, command="sweep")
-            entries.append(summary)
+    ctx = _ArrayContext(cfg)  # every case shares the array; emptied on return
+    try:
+        for method in cfg.methods:
+            for phi_deg in cfg.phi_o_deg:
+                sub = outdir / f"{method}_phi{phi_deg:g}"
+                one = replace(cfg, methods=(method,), phi_o_deg=(phi_deg,), output_dir=str(sub))
+                entries.append(run_single(one, outdir=sub, command="sweep", _context=ctx))
+    finally:
+        ctx.clear()
     comparison = build_comparison(entries)
     io.write_json(outdir / "comparison.json", comparison)
     _write_comparison_csv(outdir / "comparison.csv", comparison)

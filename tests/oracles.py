@@ -5,8 +5,8 @@ package code: the Bessel oracles use an extended-precision ascending series
 and a float Miller backward recurrence, the impedance oracle sums the
 boundary-condition series in reverse order with mpmath's own cylinder
 functions, the modal-sum oracle builds the dense grid x (2M+1) phase matrix
-the FFT kernel avoids, and the search oracle enumerates configurations with
-plain Python loops.
+the FFT kernel avoids, and the search, psi-scan and crossover oracles walk
+candidates, elements and pairs one at a time with plain Python loops.
 """
 
 from __future__ import annotations
@@ -119,3 +119,53 @@ def trapezoid_power(f: np.ndarray, spacing: float, mask: np.ndarray | None = Non
     if mask is not None:
         mag2 = mag2[mask]
     return float(mag2.sum() * spacing)
+
+
+def nearest_state_loop(g: np.ndarray, state_sets) -> tuple[np.ndarray, np.ndarray]:
+    """Per-element nearest state, one element at a time; first minimum wins."""
+    idx = np.empty(g.size, dtype=np.int64)
+    out = np.empty(g.size, dtype=complex)
+    for n, states in enumerate(state_sets):
+        i = int(np.argmin(np.abs(states - g[n])))
+        idx[n], out[n] = i, states[i]
+    return out, idx
+
+
+def mpdr_scan_loop(x, sigma_s, state_sets, psi_samples: int, psi_refine: int = 0):
+    """The MPDR constraint-phase scan, one psi at a time in ascending order.
+
+    Projects x exp(j psi) for every psi of the uniform scan (then of the
+    refinement around the best one), scores g^H Sigma_S g and keeps the first
+    strict minimum. Returns (objective, state indices, psi, evaluations).
+    """
+
+    def score(g):
+        return float((g.conj() @ (sigma_s @ g)).real)
+
+    best = None
+    evaluations = 0
+    for k in range(psi_samples):
+        psi = -np.pi + 2 * np.pi * k / psi_samples
+        g, idx = nearest_state_loop(x * np.exp(1j * psi), state_sets)
+        s = score(g)
+        evaluations += 1
+        if best is None or s < best[0]:
+            best = (s, idx, psi)
+    step = 2 * np.pi / psi_samples
+    for j in range(psi_refine):
+        psi = best[2] - step + 2 * step * (j + 1) / (psi_refine + 1)
+        g, idx = nearest_state_loop(x * np.exp(1j * psi), state_sets)
+        s = score(g)
+        evaluations += 1
+        if s < best[0]:
+            best = (s, idx, psi)
+    return best[0], best[1], best[2], evaluations
+
+
+def crossover_loop(children: np.ndarray, do_cross: np.ndarray, masks: np.ndarray) -> None:
+    """Uniform crossover in place, one pair (rows 2k, 2k+1) at a time."""
+    for k in np.nonzero(do_cross)[0]:
+        m = masks[k]
+        a_row = children[2 * k].copy()
+        children[2 * k][m] = children[2 * k + 1][m]
+        children[2 * k + 1][m] = a_row[m]

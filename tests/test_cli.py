@@ -1,6 +1,7 @@
 import json
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -10,6 +11,9 @@ from cylris import CylinderGeometry, specfun
 from cylris.cli import main
 from cylris.config import load_config, parse_config
 from cylris.errors import ConfigError
+
+
+REPO = Path(__file__).resolve().parents[1]
 
 
 def toy_config(outdir, method="mpdr", phi=20.0, **overrides):
@@ -196,6 +200,66 @@ BAD_INPUTS = {
 }
 
 
+def _with(section, key, value, method="go_q"):
+    def argv(tmp):
+        cfg = toy_config(tmp / "run", method=method)
+        cfg[section][key] = value
+        return _synth_argv(tmp, cfg)
+
+    return argv
+
+
+def _go_q_argv(tmp):
+    return _synth_argv(tmp, toy_config(tmp / "run", method="go_q"))
+
+
+# bad input -> (argv builder, the config key the error message must name)
+KEYED_BAD_INPUTS = {
+    "radius_m_bool": (_with("geometry", "radius_m", True), "geometry.radius_m"),
+    "n_elements_bool": (_with("array", "n_elements", True), "array.n_elements"),
+    "phi_o_deg_nan": (_with("steering", "phi_o_deg", float("nan")), "steering.phi_o_deg"),
+    "phi_o_deg_list_inf": (
+        _with("steering", "phi_o_deg", [20.0, float("inf")]), "steering.phi_o_deg"
+    ),
+    "value_nan": (_with("steering", "value", float("nan")), "steering.value"),
+    "p_mutation_inf": (_with("method", "p_mutation", float("inf"), "ga"), "method.p_mutation"),
+    "phi_o_deg_cli_nan": (
+        lambda tmp: _go_q_argv(tmp) + ["--phi-o-deg", "nan"],
+        "steering.phi_o_deg",
+    ),
+    "grid_points_3_cli": (
+        lambda tmp: _go_q_argv(tmp) + ["--grid-points", "3"],
+        "output.grid_points",
+    ),
+    "grid_points_0_cli": (
+        lambda tmp: _go_q_argv(tmp) + ["--grid-points", "0"],
+        "output.grid_points",
+    ),
+    "grid_points_3_yaml": (_with("output", "grid_points", 3), "output.grid_points"),
+    "objective_grid_points_3": (
+        _with("output", "objective_grid_points", 3, "es"), "output.objective_grid_points"
+    ),
+    "sigma_grid_misses_window": (
+        lambda tmp: _synth_argv(tmp, toy_config(
+            tmp / "run",
+            steering={"delta_phi_mode": "absolute_deg", "value": 0.1},
+            output={"sigma_grid_points": 721, "grid_points": 36000},
+        )),
+        "output.sigma_grid_points",
+    ),
+}
+
+
+@pytest.mark.filterwarnings("ignore:delta_phi = .* is below the reference beamwidth")
+@pytest.mark.parametrize("name", KEYED_BAD_INPUTS)
+def test_bad_value_exits_2_naming_the_key(tmp_path, capsys, name):
+    argv_of, key = KEYED_BAD_INPUTS[name]
+    assert run_cli(argv_of(tmp_path)) == 2
+    payload = one_json_error(capsys)
+    assert payload["code"] == 2 and key in payload["error"]
+    assert not (tmp_path / "run" / "pattern.csv").exists()
+
+
 def one_json_error(capsys) -> dict:
     lines = capsys.readouterr().err.strip().splitlines()
     assert len(lines) == 1
@@ -318,6 +382,71 @@ class TestSweepAndCompare:
         assert max(norm_at_10) == 0.0  # shared normalization anchored at the smallest angle
         for sub in ("mpdr_phi10", "mpdr_phi20", "go_q_phi10", "go_q_phi20"):
             assert (out / sub / "metrics.json").exists()
+
+    def test_sweep_cases_equal_standalone_runs(self, tmp_path):
+        """The per-sweep shared context changes no byte of any case."""
+        from dataclasses import replace
+
+        from cylris.pipeline import run_single, run_sweep
+
+        raw = toy_config(tmp_path / "sweep", method=["es", "ga", "mpdr", "go_q"])
+        raw["steering"]["phi_o_deg"] = [12.0, 31.0]
+        raw["method"].update(population=30, generations=5, psi_refine=3)
+        cfg = parse_config(raw)
+        out = run_sweep(cfg)
+        assert len(out["entries"]) == 8
+        for entry in out["entries"]:
+            sub = Path(entry["outdir"])
+            one = replace(
+                cfg, methods=(entry["method"],), phi_o_deg=(entry["phi_o_deg"],), output_dir=str(sub)
+            )
+            alone = tmp_path / "alone" / sub.name
+            run_single(one, outdir=alone, command="sweep")
+            names = sorted(f.name for f in sub.iterdir())
+            assert names == sorted(f.name for f in alone.iterdir())
+            for name in names:
+                assert (sub / name).read_bytes() == (alone / name).read_bytes(), (sub.name, name)
+
+    def test_sweep_builds_each_table_once(self, tmp_path, monkeypatch):
+        """One reference window and one steering table per distinct grid, per sweep."""
+        from cylris import discrete_model, pipeline
+
+        raw = yaml.safe_load((REPO / "configs" / "method_sweep.yaml").read_text())
+        raw["method"].update(population=20, generations=2)
+        raw["output"]["directory"] = str(tmp_path / "sweep")
+        cfg = parse_config(raw)
+        calls = {"steering_vector": [], "reference_window": 0}
+        steering_vector, reference_window = (
+            discrete_model.steering_vector, discrete_model.reference_window
+        )
+
+        def counted_steering_vector(array, grid, *args, **kwargs):
+            calls["steering_vector"].append(len(grid))
+            return steering_vector(array, grid, *args, **kwargs)
+
+        def counted_reference_window(*args, **kwargs):
+            calls["reference_window"] += 1
+            return reference_window(*args, **kwargs)
+
+        contexts = []
+        run_single = pipeline.run_single
+
+        def recording_run_single(*args, _context=None, **kwargs):
+            contexts.append(_context)
+            return run_single(*args, _context=_context, **kwargs)
+
+        for module in (pipeline, discrete_model):
+            monkeypatch.setattr(module, "steering_vector", counted_steering_vector)
+        monkeypatch.setattr(pipeline, "reference_window", counted_reference_window)
+        monkeypatch.setattr(pipeline, "run_single", recording_run_single)
+        pipeline.run_sweep(cfg)
+        # objective, output, the reference window's own table, and Sigma
+        assert sorted(calls["steering_vector"]) == sorted(
+            [cfg.objective_grid_points, cfg.grid_points, 3601, cfg.sigma_grid_points]
+        )
+        assert calls["reference_window"] == 1
+        assert len(contexts) == 15 and all(c is contexts[0] for c in contexts)
+        assert not contexts[0]._kept  # emptied when the sweep returns
 
     def test_compare_merges_prior_runs(self, tmp_path):
         d1, d2 = tmp_path / "m", tmp_path / "g"

@@ -23,7 +23,14 @@ from cylris import (
     steering_vector_at,
 )
 
-from oracles import brute_force_search, trapezoid_power
+from cylris import optimizers
+from oracles import (
+    brute_force_search,
+    crossover_loop,
+    mpdr_scan_loop,
+    nearest_state_loop,
+    trapezoid_power,
+)
 
 
 @pytest.fixture(scope="module")
@@ -152,7 +159,51 @@ class TestProjectToStates:
         assert np.array_equal(once.state_indices, twice.state_indices)
 
 
+    @pytest.mark.parametrize("taper", ["constant", "cosine"])
+    def test_batch_matches_per_element_oracle(self, array30, taper):
+        states = state_sets_for_array(ideal_one_bit(taper), array30)
+        rng = np.random.default_rng(5)
+        batch = rng.standard_normal((50, 30)) + 1j * rng.standard_normal((50, 30))
+        batch[0] = 0.0  # every element ties between its two states
+        values, idx = project_to_states(batch, states)
+        assert values.shape == idx.shape == batch.shape
+        for row, v, i in zip(batch, values, idx):
+            ref_v, ref_i = nearest_state_loop(row, states)
+            assert np.array_equal(i, ref_i) and np.array_equal(v, ref_v)
+        single = project_to_states(batch[3], states)
+        assert np.array_equal(single.state_indices, idx[3])
+
+
 class TestMpdrSynthesize:
+    @pytest.mark.parametrize("psi_samples, psi_refine", [(360, 0), (36, 19), (361, 7)])
+    def test_scan_matches_per_psi_loop_oracle(self, toy, toy_sigma, psi_samples, psi_refine):
+        """Same indices and objective, bit for bit, as scoring one psi at a time.
+
+        One-bit states are symmetric, so psi and psi + pi score exactly alike:
+        every even-sized scan has ties, and the first (lowest-psi) one must win.
+        """
+        table, sig = toy_sigma
+        res = mpdr_synthesize(
+            table, sig, toy["spec"], toy["states"], psi_samples=psi_samples, psi_refine=psi_refine
+        )
+        a_o = steering_vector_at(toy["array"], toy["spec"].phi_o)
+        x = optimizers._solve_sigma(sig.sigma, a_o.conj())
+        objective, idx, _, evaluations = mpdr_scan_loop(
+            x, sig.sigma_s, toy["states"], psi_samples, psi_refine
+        )
+        assert res.objective == objective
+        assert np.array_equal(res.gamma.state_indices, idx)
+        assert res.evaluations == evaluations
+
+    def test_full_scale_scan_matches_oracle(self, array30, sigma30):
+        table, spec, sig = sigma30
+        states = state_sets_for_array(ideal_one_bit("cosine"), array30)
+        res = mpdr_synthesize(table, sig, spec, states, psi_refine=5)
+        x = optimizers._solve_sigma(sig.sigma, steering_vector_at(array30, spec.phi_o).conj())
+        objective, idx, _, _ = mpdr_scan_loop(x, sig.sigma_s, states, 360, 5)
+        assert res.objective == objective
+        assert np.array_equal(res.gamma.state_indices, idx)
+
     def test_psi_period_for_symmetric_one_bit(self, toy, toy_sigma):
         _, sig = toy_sigma
         a_o = steering_vector_at(toy["array"], toy["spec"].phi_o)
@@ -265,6 +316,33 @@ class TestGa:
             if 20 * np.log10(ga.objective / es.objective) <= 0.5:
                 hits += 1
         assert hits >= 19
+
+    @pytest.mark.parametrize("rows", [7, 8])
+    def test_crossover_matches_pair_loop_oracle(self, rows):
+        rng = np.random.default_rng(rows)
+        children = rng.integers(0, 4, size=(rows, 9))
+        do_cross = rng.random(rows // 2) < 0.6
+        masks = rng.random((rows // 2, 9)) < 0.5
+        expected = children.copy()
+        crossover_loop(expected, do_cross, masks)
+        optimizers._crossover(children, do_cross, masks)
+        assert np.array_equal(children, expected)
+
+    @pytest.mark.parametrize("population", [41, 60])
+    def test_seeded_run_matches_crossover_oracle(self, toy, monkeypatch, population):
+        cfg = GaConfig(population=population, generations=25)
+
+        def run():
+            return ga_synthesize(
+                toy["table"], toy["spec"], toy["states"], cfg, seed=7, track_history=True
+            )
+
+        fast = run()
+        monkeypatch.setattr(optimizers, "_crossover", crossover_loop)
+        slow = run()
+        assert np.array_equal(fast.gamma.state_indices, slow.gamma.state_indices)
+        assert fast.history == slow.history
+        assert fast.objective == slow.objective
 
     def test_objective_recomputable(self, toy):
         cfg = GaConfig(population=40, generations=10)
