@@ -26,8 +26,15 @@ EXIT_BUDGET = 3
 EXIT_NUMERICAL = 4
 
 
+class _Parser(argparse.ArgumentParser):
+    """Bad arguments end like any other bad input: exit 2 with one JSON line."""
+
+    def error(self, message):
+        raise ConfigError(message)
+
+
 def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="cylris",
         description="Beam synthesis for cylindrical reconfigurable reflecting surfaces.",
     )
@@ -85,6 +92,8 @@ def _apply_overrides(cfg: RunConfig, args: argparse.Namespace) -> RunConfig:
     if getattr(args, "seed", None) is not None:
         params["seed"] = args.seed
     if getattr(args, "workers", None) is not None:
+        if args.workers < 1:
+            raise ConfigError(f"method.workers: must be an integer >= 1, got {args.workers}")
         params["workers"] = args.workers
     if getattr(args, "timing", False):
         updates["timing"] = True
@@ -169,8 +178,8 @@ def _fail(exc: Exception, code: int) -> int:
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = _build_parser().parse_args(argv)
     try:
+        args = _build_parser().parse_args(argv)
         return _COMMANDS[args.command](args)
     except BudgetExceededError as exc:
         return _fail(exc, EXIT_BUDGET)

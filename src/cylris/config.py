@@ -213,6 +213,9 @@ def parse_config(raw: dict) -> RunConfig:
     }
     if method_params["shadow_model"] not in ("cancel", "none"):
         raise ConfigError("method.shadow_model: must be 'cancel' or 'none'")
+    workers = method_params["workers"]
+    if workers < 1:
+        raise ConfigError(f"method.workers: must be an integer >= 1, got {workers}")
 
     out = _require_mapping(raw.get("output"), "output")
     _check_unknown(

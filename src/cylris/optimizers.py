@@ -14,6 +14,7 @@ chunks may be fanned out over processes without changing the outcome.
 
 from __future__ import annotations
 
+import itertools
 import time
 import warnings
 from concurrent.futures import ProcessPoolExecutor
@@ -95,11 +96,13 @@ def build_sigma(
     """Periodic trapezoid quadrature of a*(phi) a^T(phi) over the table grid.
 
     Sigma integrates over the full circle, Sigma_S over the exclusion set
-    only. When the grid size is even, Sigma is re-estimated from every other
-    sample and a warning is emitted if the two disagree beyond 1e-8 relative
-    (the element-pattern support edges limit plain trapezoid convergence, so
-    coarse grids do trip this). Sigma_S carries an O(h) boundary term from
-    the exclusion-set indicator and is excluded from the check.
+    only: Sigma_S is Sigma minus the share of the protected-window rows, so
+    only those few rows are copied. When the grid size is even, Sigma is
+    re-estimated from every other sample and a warning is emitted if the
+    two disagree beyond 1e-8 relative (the element-pattern support edges
+    limit plain trapezoid convergence, so coarse grids do trip this).
+    Sigma_S carries an O(h) boundary term from the exclusion-set indicator
+    and is excluded from the check.
 
     Sigma does not depend on the steering spec: pass the `sigma` of an
     earlier call on the same table to build only Sigma_S.
@@ -121,8 +124,8 @@ def build_sigma(
                     f"by {rel:.2e} relative (> {SIGMA_CONVERGENCE_RTOL:.0e}); increase the grid",
                     stacklevel=2,
                 )
-    ae = a[exclusion_set_mask(spec, table.grid)]
-    sigma_s = _hermitize((ae.conj().T @ ae) * w)
+    win = a[~exclusion_set_mask(spec, table.grid)]  # the few protected-window rows
+    sigma_s = sigma - _hermitize((win.conj().T @ win) * w)
     return SigmaMatrices(sigma=sigma, sigma_s=sigma_s, grid_points=n)
 
 
@@ -192,13 +195,20 @@ def sll_objective(table: SteeringVectorTable, spec: SteeringSpec, gamma) -> floa
     return float(mag[excl].max() / peak)
 
 
-def _objective_batch(a: np.ndarray, excl: np.ndarray, gammas: np.ndarray) -> np.ndarray:
-    """Sidelobe ratio for a batch of excitations (columns of gammas)."""
-    mag = np.abs(a @ gammas)
+def _objective_batch(patterns: np.ndarray, excl: np.ndarray) -> np.ndarray:
+    """Sidelobe ratio of each column of a pattern block (grid x batch).
+
+    The exclusion set is a few runs of grid rows, so its maximum is taken
+    over row slices rather than a copy of most of the block; the peak adds
+    the protected-window rows. max is exact, so this is max|F| over the
+    exclusion set / max|F|.
+    """
+    mag = np.abs(patterns)
     if not excl.any():
         return np.zeros(mag.shape[1])
-    peak = mag.max(axis=0)
-    side = mag[excl].max(axis=0)
+    runs = np.flatnonzero(np.diff(excl, prepend=False, append=False)).reshape(-1, 2)
+    side = np.maximum.reduce([mag[start:stop].max(axis=0) for start, stop in runs])
+    peak = np.maximum(side, mag[~excl].max(axis=0, initial=0.0))
     with np.errstate(divide="ignore", invalid="ignore"):
         out = np.where(peak > 0, side / peak, np.inf)
     return out
@@ -257,48 +267,46 @@ def mpdr_synthesize(
 _ES_CTX: dict = {}
 
 
-def _es_init(a, excl, states_matrix, n_states, batch):
-    _ES_CTX["a"] = a
-    _ES_CTX["excl"] = excl
-    _ES_CTX["states"] = states_matrix
-    _ES_CTX["L"] = n_states
-    _ES_CTX["batch"] = batch
+def _es_init(p_lo, f_hi, excl):
+    _ES_CTX.update(p_lo=p_lo, f_hi=f_hi, excl=excl)
 
 
-def _decode(ks: np.ndarray, n_elements: int, n_states: int) -> np.ndarray:
-    """Mixed-radix decode of enumeration index -> state-index tuples.
+def _es_task(span: tuple[int, int]) -> tuple[float, int, int]:
+    """Best (objective, high tuple, low tuple) over the high tuples [start, stop).
 
-    Element 0 is the most significant digit, so ascending k enumerates the
-    tuples in lexicographic order.
+    Elementwise numpy only: the pattern of (h, every low tuple) is
+    f_hi[h] + P_lo, scored column by column; the first minimum wins.
     """
-    idx = np.empty((ks.size, n_elements), dtype=np.int64)
-    rem = ks.copy()
-    for n in range(n_elements - 1, -1, -1):
-        idx[:, n] = rem % n_states
-        rem //= n_states
-    return idx
-
-
-def _es_chunk(span: tuple[int, int]) -> tuple[float, int]:
-    """Best (objective, enumeration index) over [start, stop)."""
     start, stop = span
-    a = _ES_CTX["a"]
-    excl = _ES_CTX["excl"]
-    states = _ES_CTX["states"]
-    n_states = _ES_CTX["L"]
-    batch = _ES_CTX["batch"]
-    n_el = states.shape[0]
-    cols = np.arange(n_el)
-    best_val, best_k = np.inf, start
-    for b0 in range(start, stop, batch):
-        ks = np.arange(b0, min(b0 + batch, stop))
-        idx = _decode(ks, n_el, n_states)
-        gammas = states[cols[None, :], idx].T  # (N, chunk)
-        vals = _objective_batch(a, excl, gammas)
+    p_lo, f_hi, excl = _ES_CTX["p_lo"], _ES_CTX["f_hi"], _ES_CTX["excl"]
+    block = np.empty_like(p_lo)
+    best = (np.inf, start, 0)
+    for h in range(start, stop):
+        np.add(p_lo, f_hi[h][:, None], out=block)
+        vals = _objective_batch(block, excl)
         i = int(np.argmin(vals))
-        if vals[i] < best_val:
-            best_val, best_k = float(vals[i]), int(ks[i])
-    return best_val, best_k
+        if vals[i] < best[0]:
+            best = (float(vals[i]), h, i)
+    return best
+
+
+def _lex_tuples(digits: list) -> np.ndarray:
+    """Every tuple of the given per-position digits, in lexicographic order."""
+    return np.array(list(itertools.product(*digits)), dtype=np.int64, ndmin=2)
+
+
+def _negation_representatives(state_sets: list[np.ndarray]) -> list[int]:
+    """Element-0 state indices the search must visit.
+
+    When every state set is closed under exact negation, gamma and -gamma
+    give the same |F|, and of the two the lexicographically smaller tuple
+    has the smaller element-0 index. So an element-0 state whose negation
+    sits at a lower index never wins, and is skipped.
+    """
+    s0 = state_sets[0]
+    if not all(np.isin(-s, s).all() for s in state_sets):
+        return list(range(len(s0)))
+    return [i for i in range(len(s0)) if not np.any(s0[:i] == -s0[i])]
 
 
 def exhaustive_search(
@@ -307,17 +315,24 @@ def exhaustive_search(
     state_sets: list[np.ndarray],
     budget: int = DEFAULT_ES_BUDGET,
     workers: int = 1,
-    batch: int = 4096,
+    batch: int = 1024,
 ) -> SynthesisResult:
     """Global minimizer of the sidelobe ratio over the full state space.
 
     Refuses to run when L^N exceeds `budget` (raise the budget explicitly,
     or use the GA/MPDR routes). Ties break to the lexicographically smallest
-    state-index tuple. `workers > 1` fans the enumeration out over
-    processes; the ordered reduction keeps the result identical to a serial
-    run.
+    state-index tuple. The last n_lo elements, L^n_lo <= `batch`, form the
+    low part: the patterns of all their tuples (P_lo) and of every tuple of
+    the other elements (f_hi) are built here with BLAS, and a pattern is
+    then one elementwise sum f_hi[h] + P_lo. State sets closed under
+    negation visit only the element-0 states that can win (about half).
+    `workers > 1` fans the high tuples out over processes that run no BLAS;
+    the ordered reduction keeps the result identical to a serial run.
+    `evaluations` is L^N, the size of the space covered.
     """
     t0 = time.perf_counter()
+    if workers < 1 or batch < 1:
+        raise ValueError(f"workers and batch must be >= 1, got {workers} and {batch}")
     n_el = table.n_elements
     n_states = len(state_sets[0])
     if any(len(s) != n_states for s in state_sets):
@@ -328,33 +343,45 @@ def exhaustive_search(
             f"exhaustive search needs {total} evaluations, budget is {budget}; "
             "raise the budget or use the ga/mpdr/go_q methods"
         )
+    states = np.vstack(state_sets)
+    n_lo = 0
+    while n_lo < n_el - 1 and n_states ** (n_lo + 1) <= batch:
+        n_lo += 1
+    n_hi = n_el - n_lo
+    hi_idx = _lex_tuples(
+        [_negation_representatives(state_sets)] + [range(n_states)] * (n_hi - 1)
+    )
+    lo_idx = _lex_tuples([range(n_states)] * n_lo)
+    a = table.a
+    p_lo = a[:, n_hi:] @ states[np.arange(n_hi, n_el), lo_idx].T  # (grid, L^n_lo)
+    f_hi = states[np.arange(n_hi), hi_idx] @ a[:, :n_hi].T  # (high tuples, grid)
     excl = exclusion_set_mask(spec, table.grid)
-    states_matrix = np.vstack(state_sets)
-    spans = [(s, min(s + batch, total)) for s in range(0, total, batch)]
-    if workers > 1:
-        with ProcessPoolExecutor(
-            max_workers=workers,
-            initializer=_es_init,
-            initargs=(table.a, excl, states_matrix, n_states, batch),
-        ) as pool:
-            results = list(pool.map(_es_chunk, spans))
-    else:
-        _es_init(table.a, excl, states_matrix, n_states, batch)
-        results = [_es_chunk(s) for s in spans]
-    best_val, best_k = np.inf, 0
-    for val, k in results:  # submission order: earliest k wins ties
+    step = -(-len(hi_idx) // (4 * workers))  # about four equal tasks per worker
+    spans = [(s, min(s + step, len(hi_idx))) for s in range(0, len(hi_idx), step)]
+    n_proc = min(workers, len(spans))
+    try:
+        if n_proc > 1:
+            with ProcessPoolExecutor(
+                max_workers=n_proc, initializer=_es_init, initargs=(p_lo, f_hi, excl)
+            ) as pool:
+                results = list(pool.map(_es_task, spans))
+        else:
+            _es_init(p_lo, f_hi, excl)
+            results = [_es_task(s) for s in spans]
+    finally:
+        _ES_CTX.clear()
+    best_val, best_h, best_lo = np.inf, 0, 0
+    for val, h, lo in results:  # submission order: the earliest tuple wins ties
         if val < best_val:
-            best_val, best_k = val, k
-    idx = _decode(np.array([best_k]), n_el, n_states)[0]
+            best_val, best_h, best_lo = val, h, lo
+    idx = np.concatenate([hi_idx[best_h], lo_idx[best_lo]])
     gamma = ExcitationVector(
-        gamma=states_matrix[np.arange(n_el), idx],
-        provenance="es",
-        state_indices=idx,
+        gamma=states[np.arange(n_el), idx], provenance="es", state_indices=idx
     )
     return SynthesisResult(
         method="es",
         gamma=gamma,
-        objective=float(best_val),
+        objective=sll_objective(table, spec, gamma),
         objective_kind="sll_ratio",
         evaluations=total,
         wall_time_s=time.perf_counter() - t0,
@@ -417,7 +444,7 @@ def ga_synthesize(
 
     def evaluate(pop_idx: np.ndarray) -> np.ndarray:
         gammas = states_matrix[cols[None, :], pop_idx].T
-        return _objective_batch(table.a, excl, gammas)
+        return _objective_batch(table.a @ gammas, excl)
 
     pop = rng.integers(0, n_states, size=(cfg.population, n_el))
     fit = evaluate(pop)

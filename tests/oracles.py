@@ -6,7 +6,10 @@ and a float Miller backward recurrence, the impedance oracle sums the
 boundary-condition series in reverse order with mpmath's own cylinder
 functions, the modal-sum oracle builds the dense grid x (2M+1) phase matrix
 the FFT kernel avoids, and the search, psi-scan and crossover oracles walk
-candidates, elements and pairs one at a time with plain Python loops.
+candidates, elements and pairs one at a time with plain Python loops. The
+gemm search (the library's former kernel) scores whole enumeration batches
+by one matrix product instead of split sums, and the masked Sigma_S sums the
+exclusion-set rows instead of subtracting the protected window.
 """
 
 from __future__ import annotations
@@ -169,3 +172,36 @@ def crossover_loop(children: np.ndarray, do_cross: np.ndarray, masks: np.ndarray
         a_row = children[2 * k].copy()
         children[2 * k][m] = children[2 * k + 1][m]
         children[2 * k + 1][m] = a_row[m]
+
+
+def es_gemm_search(a_matrix: np.ndarray, excl: np.ndarray, state_sets, batch: int = 4096):
+    """The exhaustive search as one gemm per batch of enumeration indices.
+
+    Decodes each index k (element 0 most significant) into its state-index
+    tuple, gathers the excitations and scores the batch with one matrix
+    product; the first minimum wins. Returns (best ratio, best index tuple).
+    """
+    n_el, n_states = len(state_sets), len(state_sets[0])
+    states = np.vstack(state_sets)
+    best_val, best_k = math.inf, 0
+    for b0 in range(0, n_states**n_el, batch):
+        ks = np.arange(b0, min(b0 + batch, n_states**n_el))
+        idx = np.empty((ks.size, n_el), dtype=np.int64)
+        rem = ks.copy()
+        for n in range(n_el - 1, -1, -1):
+            idx[:, n] = rem % n_states
+            rem //= n_states
+        mag = np.abs(a_matrix @ states[np.arange(n_el)[None, :], idx].T)
+        vals = mag[excl].max(axis=0) / mag.max(axis=0)
+        i = int(np.argmin(vals))
+        if vals[i] < best_val:
+            best_val, best_k = float(vals[i]), int(ks[i])
+    digits = np.unravel_index(best_k, (n_states,) * n_el)
+    return best_val, tuple(int(d) for d in digits)
+
+
+def sigma_s_masked(table, excl: np.ndarray) -> np.ndarray:
+    """Sigma_S from the exclusion-set rows themselves (no subtraction)."""
+    ae = table.a[excl]
+    m = (ae.conj().T @ ae) * table.grid.spacing
+    return 0.5 * (m + m.conj().T)

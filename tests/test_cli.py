@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 import yaml
 
-from cylris import CylinderGeometry, specfun
+from cylris import CylinderGeometry, optimizers, specfun
 from cylris.cli import main
 from cylris.config import load_config, parse_config
 from cylris.errors import ConfigError
@@ -213,6 +213,10 @@ def _go_q_argv(tmp):
     return _synth_argv(tmp, toy_config(tmp / "run", method="go_q"))
 
 
+def _es_argv(tmp):
+    return _synth_argv(tmp, toy_config(tmp / "run", method="es"))
+
+
 # bad input -> (argv builder, the config key the error message must name)
 KEYED_BAD_INPUTS = {
     "radius_m_bool": (_with("geometry", "radius_m", True), "geometry.radius_m"),
@@ -236,6 +240,11 @@ KEYED_BAD_INPUTS = {
         "output.grid_points",
     ),
     "grid_points_3_yaml": (_with("output", "grid_points", 3), "output.grid_points"),
+    "workers_0_yaml": (_with("method", "workers", 0, "es"), "method.workers"),
+    "workers_2.5_yaml": (_with("method", "workers", 2.5, "es"), "method.workers"),
+    "workers_0_cli": (lambda tmp: _es_argv(tmp) + ["--workers", "0"], "method.workers"),
+    "workers_-3_cli": (lambda tmp: _es_argv(tmp) + ["--workers", "-3"], "method.workers"),
+    "workers_abc_cli": (lambda tmp: _es_argv(tmp) + ["--workers", "abc"], "--workers"),
     "objective_grid_points_3": (
         _with("output", "objective_grid_points", 3, "es"), "output.objective_grid_points"
     ),
@@ -352,6 +361,33 @@ class TestDeterminism:
         m1["config"]["output"].pop("directory")
         m2["config"]["output"].pop("directory")
         assert m1 == m2  # only the target directory may differ
+
+    # the 8-element toy is one task (no pool); 12 elements on R = 0.4 m are two
+    @pytest.mark.parametrize("n_elements, pools", [(None, []), (12, [2])])
+    def test_es_sweep_serial_parallel_byte_identical(
+        self, tmp_path, monkeypatch, n_elements, pools
+    ):
+        raw = yaml.safe_load((REPO / "configs" / "toy_es.yaml").read_text())
+        if n_elements is not None:
+            raw["geometry"]["radius_m"] = 0.4
+            raw["array"]["n_elements"] = n_elements
+        seen, pool = [], optimizers.ProcessPoolExecutor
+
+        def recording_pool(**kwargs):  # a real pool; records its size
+            seen.append(kwargs["max_workers"])
+            return pool(**kwargs)
+
+        monkeypatch.setattr(optimizers, "ProcessPoolExecutor", recording_pool)
+        out, first = tmp_path / "run", tmp_path / "first"
+        argv = ["sweep", "-c", str(write_config(tmp_path, raw)), "-o", str(out)]
+        assert run_cli(argv + ["--workers", "1"]) == 0
+        out.rename(first)
+        assert run_cli(argv + ["--workers", "2"]) == 0
+        assert seen == pools
+        files = sorted(p.relative_to(first) for p in first.rglob("*") if p.is_file())
+        assert files == sorted(p.relative_to(out) for p in out.rglob("*") if p.is_file())
+        for rel in files:
+            assert (first / rel).read_bytes() == (out / rel).read_bytes(), rel
 
     def test_identical_seeds_identical_outputs(self, tmp_path):
         out1, out2 = tmp_path / "x1", tmp_path / "x2"

@@ -4,7 +4,9 @@ import pytest
 from cylris import (
     AngularGrid,
     BudgetExceededError,
+    CylinderGeometry,
     GaConfig,
+    StateTable,
     SteeringSpec,
     build_array,
     build_sigma,
@@ -17,6 +19,7 @@ from cylris import (
     mpdr_synthesize,
     phase_function,
     project_to_states,
+    reference_window,
     sll_objective,
     state_sets_for_array,
     steering_vector,
@@ -27,8 +30,10 @@ from cylris import optimizers
 from oracles import (
     brute_force_search,
     crossover_loop,
+    es_gemm_search,
     mpdr_scan_loop,
     nearest_state_loop,
+    sigma_s_masked,
     trapezoid_power,
 )
 
@@ -85,6 +90,17 @@ class TestBuildSigma:
         spec = SteeringSpec(phi_o=0.0, delta_phi=np.radians(14.5))
         with pytest.warns(UserWarning, match="not converged"):
             build_sigma(table, spec)
+
+    @pytest.mark.parametrize("phi_o_deg", [0.0, 47.0, 178.0])  # 178: the window wraps +-pi
+    def test_subtraction_matches_masked_rows(self, sigma30, phi_o_deg):
+        table, _, full = sigma30
+        spec = SteeringSpec(phi_o=np.radians(phi_o_deg), delta_phi=np.radians(14.5))
+        excl = exclusion_set_mask(spec, table.grid)
+        assert excl.any() and not excl.all()
+        sig = build_sigma(table, spec, sigma=full.sigma)
+        ref = sigma_s_masked(table, excl)
+        assert np.abs(sig.sigma_s - ref).max() <= 1e-13 * np.linalg.norm(full.sigma, 2)
+        assert np.array_equal(sig.sigma_s, sig.sigma_s.conj().T)
 
     def test_quadratic_form_exact_on_matched_grid(self, sigma30):
         table, spec, sig = sigma30
@@ -250,6 +266,34 @@ class TestMpdrSynthesize:
         assert refined.evaluations == coarse.evaluations + 19
 
 
+def _es_instance(n_elements, radius_m, phi_o_deg, model="constant", states_of=None, first=None):
+    def build():
+        geom = CylinderGeometry(radius_m=radius_m, freq_hz=3.6e9)
+        array = build_array(geom, n_elements, 0.038)
+        states = state_sets_for_array(states_of or ideal_one_bit(model), array)
+        if first is not None:
+            states[0] = np.asarray(first, dtype=complex)
+        spec = SteeringSpec(phi_o=np.radians(phi_o_deg), delta_phi=1.2 * reference_window(array))
+        return steering_vector(array, AngularGrid.uniform(361)), spec, states
+
+    return build
+
+
+# {1, -1, j, -j}: closed under negation, pairs at indices (0, 1) and (2, 3)
+_FOUR_STATES = StateTable(bits=2, angles_deg=np.array([0.0]), states=np.array([[1, -1, 1j, -1j]]))
+
+ES_INSTANCES = {
+    "toy": _es_instance(8, 0.12, 20.0),
+    **{f"constant12_phi{d:g}": _es_instance(12, 0.4, d) for d in (10, 22, 35, 48, 61, 74)},
+    "cosine10": _es_instance(10, 0.4, 30.0, model="cosine"),
+    # element 0 alone is closed under negation; the optimum has its state 1
+    "cosine10_first_pm1": _es_instance(10, 0.4, 25.0, model="cosine", first=[1, -1]),
+    "four_states_non_contiguous": _es_instance(5, 0.4, 25.0, states_of=_FOUR_STATES),
+    "one_element": _es_instance(1, 0.4, 15.0),
+    "two_elements": _es_instance(2, 0.4, 15.0),
+}
+
+
 class TestExhaustiveSearch:
     def test_single_element_direct_comparison(self, geom):
         arr = build_array(geom, 1, 0.038)
@@ -275,6 +319,76 @@ class TestExhaustiveSearch:
         spec = SteeringSpec(phi_o=np.radians(15.0), delta_phi=np.radians(14.5))
         with pytest.raises(BudgetExceededError):
             exhaustive_search(table, spec, states)
+
+    @pytest.mark.parametrize("name", ES_INSTANCES)
+    def test_matches_oracles_for_every_batch_and_worker_count(self, name):
+        table, spec, states = ES_INSTANCES[name]()
+        excl = exclusion_set_mask(spec, table.grid)
+        _, ref_idx = es_gemm_search(table.a, excl, states)
+        assert brute_force_search(table.a, excl, states)[1] == ref_idx
+        for batch in (1, 2, 37, 1024):
+            for workers in (1, 2):
+                res = exhaustive_search(table, spec, states, workers=workers, batch=batch)
+                assert tuple(res.gamma.state_indices) == ref_idx, (batch, workers)
+                assert res.objective == sll_objective(table, spec, res.gamma)
+                assert res.evaluations == len(states[0]) ** len(states)
+
+    @pytest.mark.parametrize(
+        "name, expected",
+        [
+            ("toy", [0]),
+            ("cosine10", [0, 1]),
+            ("cosine10_first_pm1", [0, 1]),
+            ("four_states_non_contiguous", [0, 2]),
+        ],
+    )
+    def test_negation_halves_only_closed_state_sets(self, name, expected):
+        _, _, states = ES_INSTANCES[name]()
+        assert optimizers._negation_representatives(states) == expected
+
+    def test_pool_capped_at_task_count(self, toy, monkeypatch):
+        seen = []
+
+        class RecordingPool:  # runs the tasks in this process; starts nothing
+            def __init__(self, max_workers, initializer, initargs):
+                seen.append(max_workers)
+                initializer(*initargs)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, spans):
+                return map(fn, spans)
+
+        monkeypatch.setattr(optimizers, "ProcessPoolExecutor", RecordingPool)
+        args = (toy["table"], toy["spec"], toy["states"])
+        serial = exhaustive_search(*args, batch=2)
+        for workers in (1000, 3):  # batch 2: 64 high tuples (element 0 halved)
+            res = exhaustive_search(*args, workers=workers, batch=2)
+            assert np.array_equal(res.gamma.state_indices, serial.gamma.state_indices)
+        exhaustive_search(*args, workers=8)  # batch 1024: a single task, no pool
+        assert seen == [64, 3]
+        assert optimizers._ES_CTX == {}
+
+    def test_context_empty_after_return_and_after_error(self, toy, monkeypatch):
+        exhaustive_search(toy["table"], toy["spec"], toy["states"])
+        assert optimizers._ES_CTX == {}
+
+        def fail(*args):
+            raise RuntimeError("scoring failed")
+
+        monkeypatch.setattr(optimizers, "_objective_batch", fail)
+        with pytest.raises(RuntimeError, match="scoring failed"):
+            exhaustive_search(toy["table"], toy["spec"], toy["states"])
+        assert optimizers._ES_CTX == {}
+
+    @pytest.mark.parametrize("kwargs", [dict(workers=0), dict(workers=-3), dict(batch=0)])
+    def test_rejects_non_positive_workers_and_batch(self, toy, kwargs):
+        with pytest.raises(ValueError, match=">= 1"):
+            exhaustive_search(toy["table"], toy["spec"], toy["states"], **kwargs)
 
     def test_parallel_matches_serial(self, toy):
         serial = exhaustive_search(toy["table"], toy["spec"], toy["states"], workers=1)
