@@ -36,7 +36,6 @@ from .discrete_model import (
     build_array,
     conjugate_phase_excitation,
     far_field_discrete,
-    metrics,
     reference_beamwidth,
     reference_window,
     steering_vector,

@@ -88,7 +88,6 @@ class RunConfig:
     output_dir: str
     grid_points: int
     objective_grid_points: int
-    sigma_grid_points: int
     timing: bool
     n_elements: int | None = None
     arc_pitch_m: float | None = None
@@ -117,7 +116,6 @@ class RunConfig:
                 "directory": self.output_dir,
                 "grid_points": self.grid_points,
                 "objective_grid_points": self.objective_grid_points,
-                "sigma_grid_points": self.sigma_grid_points,
                 "timing": self.timing,
             },
         }
@@ -151,6 +149,16 @@ def parse_config(raw: dict) -> RunConfig:
         _check_unknown(arr, ("n_elements", "arc_pitch_m", "element_pattern"), "array")
         n_elements = _get(arr, "n_elements", int, "array", required=True)
         arc_pitch_m = _get(arr, "arc_pitch_m", float, "array", required=True)
+        if n_elements < 1:
+            raise ConfigError(f"array.n_elements: must be an integer >= 1, got {n_elements}")
+        if arc_pitch_m <= 0:
+            raise ConfigError(f"array.arc_pitch_m: must be positive, got {arc_pitch_m}")
+        if n_elements * arc_pitch_m / radius_m >= math.pi:
+            raise ConfigError(
+                "array.n_elements: the array span exceeds the illuminated half: "
+                f"n_elements * arc_pitch_m / geometry.radius_m = "
+                f"{n_elements * arc_pitch_m / radius_m:.3f} rad >= pi"
+            )
         element_pattern = _get(arr, "element_pattern", str, "array", default="cos")
         if element_pattern not in ("cos", "cos2"):
             raise ConfigError("array.element_pattern: must be 'cos' or 'cos2'")
@@ -213,11 +221,17 @@ def parse_config(raw: dict) -> RunConfig:
     }
     if method_params["shadow_model"] not in ("cancel", "none"):
         raise ConfigError("method.shadow_model: must be 'cancel' or 'none'")
-    workers = method_params["workers"]
-    if workers < 1:
-        raise ConfigError(f"method.workers: must be an integer >= 1, got {workers}")
+    lowest = {"workers": 1, "psi_samples": 1, "psi_refine": 0, "population": 2, "generations": 0}
+    for key, low in lowest.items():
+        if (value := method_params[key]) < low:
+            raise ConfigError(f"method.{key}: must be an integer >= {low}, got {value}")
+    for key in ("p_crossover", "p_mutation"):
+        if not 0.0 <= (value := method_params[key]) <= 1.0:
+            raise ConfigError(f"method.{key}: must lie in [0, 1], got {value}")
 
     out = _require_mapping(raw.get("output"), "output")
+    # sigma_grid_points: accepted from old configs and manifests, no effect
+    # (Sigma is integrated exactly, on no grid)
     _check_unknown(
         out,
         ("directory", "grid_points", "objective_grid_points", "sigma_grid_points", "timing"),
@@ -226,12 +240,10 @@ def parse_config(raw: dict) -> RunConfig:
     output_dir = _get(out, "directory", str, "output", default="out")
     grid_points = _get(out, "grid_points", int, "output", default=3601)
     objective_grid_points = _get(out, "objective_grid_points", int, "output", default=361)
-    sigma_grid_points = _get(out, "sigma_grid_points", int, "output", default=57600)
     timing = _get(out, "timing", bool, "output", default=False)
     for label, n in (
         ("grid_points", grid_points),
         ("objective_grid_points", objective_grid_points),
-        ("sigma_grid_points", sigma_grid_points),
     ):
         if n < 2:
             raise ConfigError(f"output.{label}: must be >= 2")
@@ -253,7 +265,6 @@ def parse_config(raw: dict) -> RunConfig:
         output_dir=output_dir,
         grid_points=grid_points,
         objective_grid_points=objective_grid_points,
-        sigma_grid_points=sigma_grid_points,
         timing=timing,
         n_elements=n_elements,
         arc_pitch_m=arc_pitch_m,

@@ -15,14 +15,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import AngularGrid, CylinderGeometry, SteeringSpec, wrap_angle
-from .patterns import (
-    PatternGrid,
-    PatternMetrics,
-    first_null_width,
-    half_power_width,
-    pattern_metrics,
-)
+from .geometry import AngularGrid, CylinderGeometry, wrap_angle
+from .patterns import PatternGrid, first_null_width, half_power_width
 
 __all__ = [
     "ElementArray",
@@ -32,7 +26,6 @@ __all__ = [
     "steering_vector",
     "steering_vector_at",
     "far_field_discrete",
-    "metrics",
     "conjugate_phase_excitation",
     "reference_beamwidth",
     "reference_window",
@@ -125,13 +118,19 @@ class SteeringVectorTable:
 def steering_vector(
     array: ElementArray, grid: AngularGrid, element_pattern: str = "cos"
 ) -> SteeringVectorTable:
-    """Tabulate a_n(phi) for every grid angle and element.
+    """Tabulate a_n(phi) for every grid angle and element."""
+    a = steering_vector_at(array, grid.values, element_pattern)
+    return SteeringVectorTable(grid=grid, a=a, array=array, element_pattern=element_pattern)
 
-    The phase is built in place, which keeps the peak memory of the large
-    Sigma-grid table down.
+
+def steering_vector_at(array: ElementArray, phi, element_pattern: str = "cos") -> np.ndarray:
+    """a(phi) at any angle or array of angles, exact (no grid snapping).
+
+    The one steering kernel: the result has shape phi.shape + (N,). The
+    phase is built in place, so a large table needs few temporaries.
     """
-    delta = wrap_angle(grid.values[:, None] - array.alphas[None, :])
-    gain = _element_gain(delta, array.alphas[None, :], element_pattern)
+    delta = wrap_angle(np.asarray(phi, dtype=float)[..., None] - array.alphas)
+    gain = _element_gain(delta, array.alphas, element_pattern)
     arg = np.cos(delta)
     del delta
     arg += np.cos(array.alphas)
@@ -140,14 +139,7 @@ def steering_vector(
     del arg
     np.exp(a, out=a)
     a *= gain
-    return SteeringVectorTable(grid=grid, a=a, array=array, element_pattern=element_pattern)
-
-
-def steering_vector_at(array: ElementArray, phi: float, element_pattern: str = "cos") -> np.ndarray:
-    """a(phi) at a single angle, exact (no grid snapping)."""
-    delta = wrap_angle(phi - array.alphas)
-    gain = _element_gain(delta, array.alphas, element_pattern)
-    return gain * np.exp(1j * array.geom.k0r * (np.cos(delta) + np.cos(array.alphas)))
+    return a
 
 
 @dataclass(frozen=True)
@@ -176,11 +168,6 @@ def far_field_discrete(table: SteeringVectorTable, gamma) -> PatternGrid:
     if g.shape != (table.n_elements,):
         raise ValueError("gamma length must equal the number of elements")
     return PatternGrid(grid=table.grid, f=table.a @ g)
-
-
-def metrics(pattern: PatternGrid, spec: SteeringSpec) -> PatternMetrics:
-    """Pattern metrics (peak, pointing, SLL, beamwidth, target level)."""
-    return pattern_metrics(pattern, spec)
 
 
 def conjugate_phase_excitation(array: ElementArray, phi_o: float) -> ExcitationVector:

@@ -100,7 +100,7 @@ class SteeringSpec:
 class AngularGrid:
     """Full-circle grid phi_k = -pi + 2 pi k / n, k = 0..n-1, built only by `uniform(n)`.
 
-    Every quadrature (a plain Riemann sum) and modal sum (one FFT) relies on it.
+    Every grid quadrature (a plain Riemann sum) and modal sum (one FFT) relies on it.
     """
 
     __slots__ = ("values",)

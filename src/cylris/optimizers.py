@@ -14,9 +14,9 @@ chunks may be fanned out over processes without changing the outcome.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import time
-import warnings
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
@@ -29,7 +29,7 @@ from .discrete_model import (
     steering_vector_at,
 )
 from .errors import BudgetExceededError, NumericalError
-from .geometry import SteeringSpec, exclusion_set_mask
+from .geometry import SteeringSpec, exclusion_set_mask, wrap_angle
 from .go_synth import phase_function
 
 __all__ = [
@@ -47,21 +47,19 @@ __all__ = [
 ]
 
 DEFAULT_ES_BUDGET = 2**24
-SIGMA_CONVERGENCE_RTOL = 1e-8
 CONDITION_LIMIT = 1e12
+# Sigma quadrature: Gauss-Legendre nodes per panel, and the largest panel
+# width in units of 1/k0R.
+SIGMA_PANEL_NODES = 16
+SIGMA_PANEL_WIDTH = 8.0
 
 
 @dataclass(frozen=True)
 class SigmaMatrices:
-    """Quadrature matrices Sigma (full circle) and Sigma_S (exclusion set).
-
-    gamma^H Sigma gamma equals the trapezoid integral of |F|^2 on the grid
-    the matrices were built from, exactly; grid_points records that grid.
-    """
+    """Quadrature matrices Sigma (full circle) and Sigma_S (exclusion set)."""
 
     sigma: np.ndarray
     sigma_s: np.ndarray
-    grid_points: int
 
 
 @dataclass(frozen=True)
@@ -87,46 +85,47 @@ def _hermitize(m: np.ndarray) -> np.ndarray:
     return 0.5 * (m + m.conj().T)
 
 
-def build_sigma(
-    table: SteeringVectorTable,
-    spec: SteeringSpec,
-    check_convergence: bool = True,
-    sigma: np.ndarray | None = None,
-) -> SigmaMatrices:
-    """Periodic trapezoid quadrature of a*(phi) a^T(phi) over the table grid.
+@functools.cache
+def _gauss_legendre(n: int) -> tuple[np.ndarray, np.ndarray]:
+    return np.polynomial.legendre.leggauss(n)  # numpy.polynomial loads on first use
 
-    Sigma integrates over the full circle, Sigma_S over the exclusion set
-    only: Sigma_S is Sigma minus the share of the protected-window rows, so
-    only those few rows are copied. When the grid size is even, Sigma is
-    re-estimated from every other sample and a warning is emitted if the
-    two disagree beyond 1e-8 relative (the element-pattern support edges
-    limit plain trapezoid convergence, so coarse grids do trip this).
-    Sigma_S carries an O(h) boundary term from the exclusion-set indicator
-    and is excluded from the check.
 
-    Sigma does not depend on the steering spec: pass the `sigma` of an
-    earlier call on the same table to build only Sigma_S.
+def _sigma_nodes(array: ElementArray, spec: SteeringSpec) -> tuple[np.ndarray, np.ndarray]:
+    """Gauss-Legendre nodes and weights on [-pi, pi) for the Sigma integrand.
+
+    a_n*(phi) a_m(phi) is smooth between the element-support edges
+    alpha_n +- pi/2, and the exclusion-set indicator jumps only at the window
+    edges phi_o +- delta_phi/2; panels break at all of them and are split to
+    a width <= SIGMA_PANEL_WIDTH / k0R, so the rule stays exact as the
+    integrand oscillates faster with the electrical size.
     """
-    n = len(table.grid)
-    if n < 721:
-        raise ValueError("sigma quadrature grid must have at least 721 points")
-    w = table.grid.spacing
-    a = table.a
-    if sigma is None:
-        sigma = _hermitize((a.conj().T @ a) * w)
-        if check_convergence and n % 2 == 0:
-            half = a[::2]
-            sigma_half = _hermitize((half.conj().T @ half) * (2 * w))
-            rel = np.abs(sigma - sigma_half).max() / np.abs(sigma).max()
-            if rel > SIGMA_CONVERGENCE_RTOL:
-                warnings.warn(
-                    f"sigma quadrature not converged: halving the grid changes entries "
-                    f"by {rel:.2e} relative (> {SIGMA_CONVERGENCE_RTOL:.0e}); increase the grid",
-                    stacklevel=2,
-                )
-    win = a[~exclusion_set_mask(spec, table.grid)]  # the few protected-window rows
-    sigma_s = sigma - _hermitize((win.conj().T @ win) * w)
-    return SigmaMatrices(sigma=sigma, sigma_s=sigma_s, grid_points=n)
+    half = spec.delta_phi / 2.0
+    edges = np.concatenate(
+        [array.alphas - np.pi / 2, array.alphas + np.pi / 2, [spec.phi_o - half, spec.phi_o + half]]
+    )
+    breaks = np.unique(np.concatenate([wrap_angle(edges), [-np.pi, np.pi]]))
+    lengths = np.diff(breaks)
+    splits = np.ceil(lengths * array.geom.k0r / SIGMA_PANEL_WIDTH).astype(int)
+    width = np.repeat(lengths / splits, splits)
+    k = np.arange(width.size) - np.repeat(np.cumsum(splits) - splits, splits)  # index in its span
+    mid = np.repeat(breaks[:-1], splits) + (k + 0.5) * width
+    x, w = _gauss_legendre(SIGMA_PANEL_NODES)
+    return (mid[:, None] + 0.5 * width[:, None] * x).ravel(), (0.5 * width[:, None] * w).ravel()
+
+
+def build_sigma(table: SteeringVectorTable, spec: SteeringSpec) -> SigmaMatrices:
+    """Sigma = integral of a*(phi) a^T(phi) over the circle, Sigma_S over the exclusion set.
+
+    Gauss-Legendre panels (`_sigma_nodes`) make both exact to rounding:
+    Sigma is the weighted sum over every node, Sigma_S over the
+    exclusion-set nodes only, so both are Gram matrices (Hermitian PSD).
+    Only `table.array` and `table.element_pattern` are read; the table's
+    grid plays no part.
+    """
+    nodes, weights = _sigma_nodes(table.array, spec)
+    a = steering_vector_at(table.array, nodes, table.element_pattern) * np.sqrt(weights)[:, None]
+    a_s = a[np.abs(wrap_angle(nodes - spec.phi_o)) > spec.delta_phi / 2.0]  # exclusion_set_mask
+    return SigmaMatrices(sigma=_hermitize(a.conj().T @ a), sigma_s=_hermitize(a_s.conj().T @ a_s))
 
 
 def _solve_sigma(sigma: np.ndarray, rhs: np.ndarray) -> np.ndarray:
@@ -230,11 +229,12 @@ def mpdr_synthesize(
     (uniform grid over [-pi, pi), optionally refined around the minimum).
     Every psi of a scan is projected in one `project_to_states` broadcast;
     each candidate is then scored as g^H Sigma_S g in ascending psi, and the
-    first minimum wins. Fully deterministic.
+    first minimum wins. Fully deterministic. Of `table`, only the array and
+    element pattern are read.
     """
     t0 = time.perf_counter()
-    if sig.grid_points != len(table.grid):
-        raise ValueError("sigma matrices were built on a different grid than the table")
+    if psi_samples < 1 or psi_refine < 0:
+        raise ValueError(f"need psi_samples >= 1, psi_refine >= 0; got {psi_samples}, {psi_refine}")
     # exact steering vector at phi_o, not a grid snap
     a_o = steering_vector_at(table.array, spec.phi_o, table.element_pattern)
     x = _solve_sigma(sig.sigma, a_o.conj())

@@ -18,15 +18,10 @@ import scipy
 
 from . import __version__, exact_synth, go_synth, io, meta_atom, optimizers, specfun
 from .config import RunConfig
-from .discrete_model import (
-    build_array,
-    far_field_discrete,
-    metrics as pattern_metrics_of,
-    reference_window,
-    steering_vector,
-)
+from .discrete_model import build_array, far_field_discrete, reference_window, steering_vector
 from .errors import ConfigError
 from .geometry import AngularGrid, CylinderGeometry, SteeringSpec, exclusion_set_mask, wrap_angle
+from .patterns import pattern_metrics
 
 __all__ = ["run_single", "run_sweep", "build_comparison", "run_validation", "write_manifest"]
 
@@ -36,9 +31,9 @@ class _ArrayContext:
 
     Every case of a sweep shares one geometry, array, element pattern and
     set of grid sizes, so `run_sweep` hands one context to all of them: each
-    steering table (keyed by grid size), the boresight reference window and
-    the angle-free full Sigma are built once. Only Sigma_S depends on the
-    angle. `clear` drops the kept arrays; the context rebuilds them on demand.
+    steering table (keyed by grid size) and the boresight reference window
+    are built once. `clear` drops the kept arrays; the context rebuilds them
+    on demand.
     """
 
     def __init__(self, cfg: RunConfig):
@@ -64,13 +59,6 @@ class _ArrayContext:
     def reference_window(self) -> float:
         """The boresight null-based lobe width (`reference_window` at factor 1)."""
         return self._once("reference", lambda: reference_window(self.array, factor=1.0))
-
-    def sigma(self, n_points: int, spec: SteeringSpec):
-        """The Sigma-grid table and its matrices for `spec`; Sigma is built once."""
-        table = self.table(n_points)
-        sig = optimizers.build_sigma(table, spec, sigma=self._kept.get(("sigma", n_points)))
-        self._kept[("sigma", n_points)] = sig.sigma
-        return table, sig
 
     def clear(self) -> None:
         self._kept.clear()
@@ -135,7 +123,7 @@ def _run_continuous(
             geom, profile.gamma, grid, shadow_model=cfg.method_params["shadow_model"]
         )
         io.write_go_impedance_csv(outdir / "impedance.csv", profile)
-    m = pattern_metrics_of(pattern, spec)
+    m = pattern_metrics(pattern, spec)
     io.write_pattern_csv(outdir / "pattern.csv", pattern)
     io.write_metrics_json(outdir / "metrics.json", m)
     return pattern, m, None
@@ -144,8 +132,8 @@ def _run_continuous(
 def _run_discrete(
     cfg: RunConfig, ctx: _ArrayContext, method: str, phi_o: float, spec: SteeringSpec, outdir: Path
 ):
-    score_key = "sigma_grid_points" if method == "mpdr" else "objective_grid_points"
-    for key in (score_key, "grid_points"):
+    scored_on = ("grid_points",) if method == "mpdr" else ("objective_grid_points", "grid_points")
+    for key in scored_on:
         _require_window_sample(spec, getattr(cfg, key), key)
     array = ctx.array
     state_table = _state_table(cfg)
@@ -166,9 +154,9 @@ def _run_discrete(
             ctx.table(cfg.objective_grid_points), spec, state_sets, config=ga_cfg, seed=params["seed"]
         )
     elif method == "mpdr":
-        table_sigma, sig = ctx.sigma(cfg.sigma_grid_points, spec)
+        table = ctx.table(cfg.grid_points)  # read for its array only
         result = optimizers.mpdr_synthesize(
-            table_sigma, sig, spec, state_sets,
+            table, optimizers.build_sigma(table, spec), spec, state_sets,
             psi_samples=params["psi_samples"], psi_refine=params["psi_refine"],
         )
     elif method == "go_q":
@@ -178,7 +166,7 @@ def _run_discrete(
     else:  # pragma: no cover - guarded by config validation
         raise ConfigError(f"unknown discrete method {method}")
     pattern = far_field_discrete(ctx.table(cfg.grid_points), result.gamma)
-    m = pattern_metrics_of(pattern, spec)
+    m = pattern_metrics(pattern, spec)
     io.write_pattern_csv(outdir / "pattern.csv", pattern)
     io.write_metrics_json(outdir / "metrics.json", m)
     io.write_result_json(outdir / "result.json", result, include_timing=cfg.timing)

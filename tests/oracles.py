@@ -8,8 +8,8 @@ functions, the modal-sum oracle builds the dense grid x (2M+1) phase matrix
 the FFT kernel avoids, and the search, psi-scan and crossover oracles walk
 candidates, elements and pairs one at a time with plain Python loops. The
 gemm search (the library's former kernel) scores whole enumeration batches
-by one matrix product instead of split sums, and the masked Sigma_S sums the
-exclusion-set rows instead of subtracting the protected window.
+by one matrix product instead of split sums, and Sigma_S is integrated entry
+by entry with adaptive `quad` instead of fixed Gauss-Legendre panels.
 """
 
 from __future__ import annotations
@@ -19,6 +19,9 @@ import math
 
 import mpmath as mp
 import numpy as np
+from scipy.integrate import quad
+
+from cylris import steering_vector_at
 
 
 def bessel_j_series(m: int, x: float, dps: int = 50) -> float:
@@ -116,12 +119,21 @@ def brute_force_search(a_matrix: np.ndarray, excl: np.ndarray, state_sets) -> tu
     return best_val, best_idx
 
 
-def trapezoid_power(f: np.ndarray, spacing: float, mask: np.ndarray | None = None) -> float:
+def trapezoid_power(f: np.ndarray, spacing: float) -> float:
     """Riemann sum of |f|^2 (the periodic trapezoid rule on a uniform grid)."""
-    mag2 = np.abs(f) ** 2
-    if mask is not None:
-        mag2 = mag2[mask]
-    return float(mag2.sum() * spacing)
+    return float((np.abs(f) ** 2).sum() * spacing)
+
+
+def exclusion_arc_power(array, spec, gammas: np.ndarray, n_intervals: int = 57600):
+    """Trapezoid rule for the integral of |F|^2 over the exclusion arc, on a
+    uniform grid that starts and ends on the window edges (so the only
+    error is the O(h^2) of the element-support kinks). `gammas` is one
+    excitation (N,) or a batch of columns (N, K); the result is shaped to match.
+    """
+    phi = np.linspace(spec.phi_o + spec.delta_phi / 2,
+                      spec.phi_o + 2 * np.pi - spec.delta_phi / 2, n_intervals + 1)
+    f = steering_vector_at(array, phi) @ gammas
+    return np.trapezoid(np.abs(f) ** 2, phi, axis=0)
 
 
 def nearest_state_loop(g: np.ndarray, state_sets) -> tuple[np.ndarray, np.ndarray]:
@@ -200,8 +212,46 @@ def es_gemm_search(a_matrix: np.ndarray, excl: np.ndarray, state_sets, batch: in
     return best_val, tuple(int(d) for d in digits)
 
 
-def sigma_s_masked(table, excl: np.ndarray) -> np.ndarray:
-    """Sigma_S from the exclusion-set rows themselves (no subtraction)."""
-    ae = table.a[excl]
-    m = (ae.conj().T @ ae) * table.grid.spacing
-    return 0.5 * (m + m.conj().T)
+def sigma_s_quad(array, spec, element_pattern: str = "cos") -> np.ndarray:
+    """Sigma_S entry by entry: adaptive `scipy.integrate.quad` of the real and
+    imaginary parts of a_n*(phi) a_m(phi) over the exclusion arc
+    [phi_o + delta_phi/2, phi_o + 2 pi - delta_phi/2], with the two elements'
+    support edges alpha +- pi/2 (shifted into the arc) as break points.
+    Each a_n is written out in scalar `math` arithmetic; the support of
+    element n is where cos(phi - alpha_n) > 0.
+    """
+    k0r = array.geom.k0r
+    alphas = [float(a) for a in array.alphas]
+    lo = spec.phi_o + spec.delta_phi / 2
+    hi = spec.phi_o + 2 * math.pi - spec.delta_phi / 2
+
+    def entry(n: int, m: int) -> complex:
+        an, am = alphas[n], alphas[m]
+        scale = math.cos(an) * math.cos(am) if element_pattern == "cos2" else 1.0
+
+        def term(phi: float, part) -> float:
+            cn, cm = math.cos(phi - an), math.cos(phi - am)
+            if cn <= 0 or cm <= 0:
+                return 0.0
+            return scale * cn * cm * part(k0r * (cm - cn + math.cos(am) - math.cos(an)))
+
+        shifted = (
+            e + 2 * math.pi * j
+            for e in (an - math.pi / 2, an + math.pi / 2, am - math.pi / 2, am + math.pi / 2)
+            for j in (-1, 0, 1, 2)
+        )
+        edges = sorted({e for e in shifted if lo < e < hi})
+        re, im = (
+            quad(term, lo, hi, args=(part,), points=edges or None, limit=500,
+                 epsabs=1e-13, epsrel=1e-12)[0]
+            for part in (math.cos, math.sin)
+        )
+        return complex(re, im)
+
+    n_el = len(alphas)
+    out = np.zeros((n_el, n_el), dtype=complex)
+    for n in range(n_el):
+        for m in range(n, n_el):
+            out[n, m] = entry(n, m)
+            out[m, n] = out[n, m].conjugate()
+    return out

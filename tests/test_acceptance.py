@@ -29,10 +29,10 @@ from cylris import (
     go_quantized,
     go_reflection,
     ideal_one_bit,
-    metrics,
     modal_coefficients,
     mpdr_relaxed,
     mpdr_synthesize,
+    pattern_metrics,
     reference_window,
     sll_objective,
     specfun,
@@ -163,8 +163,7 @@ def test_criterion_3_go_synthesis(full_scale):
 
 def test_criterion_4_mpdr_contract(full_scale):
     geom, array = full_scale
-    grid = AngularGrid.uniform(57600)
-    table = steering_vector(array, grid)
+    table = steering_vector(array, AngularGrid.uniform(3601))
     spec = SteeringSpec(phi_o=np.radians(30.0), delta_phi=reference_window(array))
     sig = build_sigma(table, spec)
 
@@ -233,9 +232,8 @@ def test_criterion_5_small_instance_oracles(toy):
         if 20 * np.log10(ga.objective / es.objective) <= 0.5:
             hits += 1
 
-    table_sigma = steering_vector(toy["array"], AngularGrid.uniform(57600))
-    sig = build_sigma(table_sigma, toy["spec"])
-    mpdr = mpdr_synthesize(table_sigma, sig, toy["spec"], toy["states"])
+    sig = build_sigma(toy["table"], toy["spec"])
+    mpdr = mpdr_synthesize(toy["table"], sig, toy["spec"], toy["states"])
     goq = go_quantized(toy["array"], toy["spec"].phi_o, toy["states"])
     above_floor = (
         sll_objective(toy["table"], toy["spec"], mpdr.gamma) >= es.objective - 1e-12
@@ -262,21 +260,20 @@ def test_criterion_6_full_scale_trends(full_scale):
     fine = AngularGrid.uniform(3601)
     t_fine = steering_vector(array, fine)
     t_obj = steering_vector(array, AngularGrid.uniform(361))
-    t_sig = steering_vector(array, AngularGrid.uniform(57600))
     states = state_sets_for_array(ideal_one_bit("constant"), array)
 
     rows: dict[float, dict[str, tuple]] = {}
     for deg in SWEEP_DEG:
         spec = SteeringSpec(phi_o=np.radians(deg), delta_phi=window)
-        sig = build_sigma(t_sig, spec)
+        sig = build_sigma(t_fine, spec)
         results = {
             "ga": ga_synthesize(t_obj, spec, states, GaConfig(), seed=0),
-            "mpdr": mpdr_synthesize(t_sig, sig, spec, states),
+            "mpdr": mpdr_synthesize(t_fine, sig, spec, states),
             "go_q": go_quantized(array, spec.phi_o, states, table=t_obj, spec=spec),
         }
         rows[deg] = {}
         for name, res in results.items():
-            m = metrics(far_field_discrete(t_fine, res.gamma), spec)
+            m = pattern_metrics(far_field_discrete(t_fine, res.gamma), spec)
             pointing = float(np.degrees(abs(wrap_angle(m.peak_dir_rad - spec.phi_o))))
             target_abs = m.peak_db + m.main_beam_level_at_target_db
             rows[deg][name] = (m.sll_db, pointing, target_abs)
@@ -318,7 +315,6 @@ def test_criterion_7_determinism(tmp_path):
             "directory": str(tmp_path / "serial"),
             "grid_points": 721,
             "objective_grid_points": 361,
-            "sigma_grid_points": 57600,
         },
     }
     path = tmp_path / "config.yaml"

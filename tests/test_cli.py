@@ -27,7 +27,6 @@ def toy_config(outdir, method="mpdr", phi=20.0, **overrides):
             "directory": str(outdir),
             "grid_points": 721,
             "objective_grid_points": 361,
-            "sigma_grid_points": 57600,
         },
     }
     for key, val in overrides.items():
@@ -182,21 +181,8 @@ def _synth_argv(tmp_path, cfg):
     return ["synth", "-c", str(write_config(tmp_path, cfg))]
 
 
-def _ga_population_1(tmp_path):
-    cfg = toy_config(tmp_path / "run", method="ga")
-    cfg["method"]["population"] = 1
-    return _synth_argv(tmp_path, cfg)
-
-
 BAD_INPUTS = {
     "compare_missing_run_dir": lambda tmp: ["compare", str(tmp / "missing"), "-o", str(tmp)],
-    "sigma_grid_points_100": lambda tmp: _synth_argv(
-        tmp, toy_config(tmp / "run", output={"sigma_grid_points": 100})
-    ),
-    "array_exceeds_lit_half": lambda tmp: _synth_argv(
-        tmp, toy_config(tmp / "run", geometry={"radius_m": 0.4}, array={"n_elements": 40})
-    ),
-    "ga_population_1": _ga_population_1,
 }
 
 
@@ -248,14 +234,18 @@ KEYED_BAD_INPUTS = {
     "objective_grid_points_3": (
         _with("output", "objective_grid_points", 3, "es"), "output.objective_grid_points"
     ),
-    "sigma_grid_misses_window": (
-        lambda tmp: _synth_argv(tmp, toy_config(
-            tmp / "run",
-            steering={"delta_phi_mode": "absolute_deg", "value": 0.1},
-            output={"sigma_grid_points": 721, "grid_points": 36000},
-        )),
-        "output.sigma_grid_points",
+    "n_elements_0": (_with("array", "n_elements", 0), "array.n_elements"),
+    "arc_pitch_m_negative": (_with("array", "arc_pitch_m", -0.01), "array.arc_pitch_m"),
+    "array_exceeds_lit_half": (
+        lambda tmp: _synth_argv(
+            tmp, toy_config(tmp / "run", geometry={"radius_m": 0.4}, array={"n_elements": 40})
+        ),
+        "array.n_elements",
     ),
+    "ga_population_1": (_with("method", "population", 1, "ga"), "method.population"),
+    "p_mutation_2": (_with("method", "p_mutation", 2.0, "ga"), "method.p_mutation"),
+    "psi_samples_0": (_with("method", "psi_samples", 0, "mpdr"), "method.psi_samples"),
+    "psi_refine_-3": (_with("method", "psi_refine", -3, "mpdr"), "method.psi_refine"),
 }
 
 
@@ -335,6 +325,32 @@ class TestDeterminism:
         method = json.loads((out / "manifest.json").read_text())["config"]["method"]
         assert method == {"name": ["go"], "shadow_model": "cancel"}
         assert_replays(out, tmp_path / "replay")
+
+    def test_sigma_grid_points_accepted_and_ignored(self, tmp_path):
+        """A config or manifest that still carries output.sigma_grid_points
+        writes the same bytes as one without it, and the key is not written back."""
+        plain = tmp_path / "plain"
+        assert run_cli(["synth", "-c", str(write_config(tmp_path, toy_config(plain)))]) == 0
+        old_cfg = toy_config(tmp_path / "old_cfg", output={"sigma_grid_points": 100})
+        assert run_cli(["synth", "-c", str(write_config(tmp_path, old_cfg, "old.yaml"))]) == 0
+        manifest = json.loads((plain / "manifest.json").read_text())
+        expected = dict(manifest["config"]["output"])
+        expected.pop("directory")
+        assert "sigma_grid_points" not in expected
+        manifest["config"]["output"]["sigma_grid_points"] = 57600
+        old_manifest = tmp_path / "old_manifest.json"
+        old_manifest.write_text(json.dumps(manifest))
+        argv = ["synth", "--from-manifest", str(old_manifest), "-o", str(tmp_path / "old_man")]
+        assert run_cli(argv) == 0
+        names = sorted(f.name for f in plain.iterdir())
+        for run in (tmp_path / "old_cfg", tmp_path / "old_man"):
+            assert names == sorted(f.name for f in run.iterdir())
+            for name in names:
+                if name != "manifest.json":
+                    assert (plain / name).read_bytes() == (run / name).read_bytes(), name
+            output = json.loads((run / "manifest.json").read_text())["config"]["output"]
+            output.pop("directory")
+            assert output == expected
 
     def test_manifest_round_trip_byte_identical(self, tmp_path):
         out1 = tmp_path / "r1"
@@ -476,9 +492,9 @@ class TestSweepAndCompare:
         monkeypatch.setattr(pipeline, "reference_window", counted_reference_window)
         monkeypatch.setattr(pipeline, "run_single", recording_run_single)
         pipeline.run_sweep(cfg)
-        # objective, output, the reference window's own table, and Sigma
+        # objective, output and the reference window's own table
         assert sorted(calls["steering_vector"]) == sorted(
-            [cfg.objective_grid_points, cfg.grid_points, 3601, cfg.sigma_grid_points]
+            [cfg.objective_grid_points, cfg.grid_points, 3601]
         )
         assert calls["reference_window"] == 1
         assert len(contexts) == 15 and all(c is contexts[0] for c in contexts)

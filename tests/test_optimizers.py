@@ -31,41 +31,37 @@ from oracles import (
     brute_force_search,
     crossover_loop,
     es_gemm_search,
+    exclusion_arc_power,
     mpdr_scan_loop,
     nearest_state_loop,
-    sigma_s_masked,
+    sigma_s_quad,
     trapezoid_power,
 )
 
 
 @pytest.fixture(scope="module")
-def sigma30(array30):
-    grid = AngularGrid.uniform(57600)
-    table = steering_vector(array30, grid)
+def sigma30(array30, fine_grid):
+    table = steering_vector(array30, fine_grid)
     spec = SteeringSpec(phi_o=np.radians(30.0), delta_phi=np.radians(14.5))
     return table, spec, build_sigma(table, spec)
 
 
 @pytest.fixture(scope="module")
 def toy_sigma(toy):
-    grid = AngularGrid.uniform(2880)
-    table = steering_vector(toy["array"], grid)
-    return table, build_sigma(table, toy["spec"], check_convergence=False)
+    return toy["table"], build_sigma(toy["table"], toy["spec"])
 
 
 class TestBuildSigma:
-    def test_single_element_full_power(self, geom):
+    def test_single_element_full_power(self, geom, obj_grid):
         arr = build_array(geom, 1, 0.038)
-        grid = AngularGrid.uniform(57600)
-        table = steering_vector(arr, grid)
+        table = steering_vector(arr, obj_grid)
         spec = SteeringSpec(phi_o=0.0, delta_phi=np.radians(10.0))
         sig = build_sigma(table, spec)
         # integral of cos^2 over the element's half-circle support
         assert sig.sigma[0, 0].real == pytest.approx(np.pi / 2, abs=1e-7)
 
-    def test_full_window_empties_sigma_s(self, array30):
-        grid = AngularGrid.uniform(57600)
-        table = steering_vector(array30, grid)
+    def test_full_window_empties_sigma_s(self, array30, obj_grid):
+        table = steering_vector(array30, obj_grid)
         spec = SteeringSpec(phi_o=0.0, delta_phi=2 * np.pi)
         sig = build_sigma(table, spec)
         assert np.all(sig.sigma_s == 0)
@@ -77,42 +73,57 @@ class TestBuildSigma:
             ev = np.linalg.eigvalsh(m)
             assert ev.min() >= -1e-9 * m.trace().real / m.shape[0]
 
-    def test_off_diagonal_conjugate_pair(self, geom):
+    def test_off_diagonal_conjugate_pair(self, geom, obj_grid):
         arr = build_array(geom, 2, 0.038)
-        grid = AngularGrid.uniform(57600)
-        table = steering_vector(arr, grid)
+        table = steering_vector(arr, obj_grid)
         sig = build_sigma(table, SteeringSpec(phi_o=0.0, delta_phi=np.radians(10.0)))
         assert sig.sigma[0, 1] == np.conj(sig.sigma[1, 0])
 
-    def test_coarse_grid_warns(self, array30):
-        grid = AngularGrid.uniform(722)
-        table = steering_vector(array30, grid)
-        spec = SteeringSpec(phi_o=0.0, delta_phi=np.radians(14.5))
-        with pytest.warns(UserWarning, match="not converged"):
-            build_sigma(table, spec)
+    def test_table_grid_plays_no_part(self, array30, obj_grid, sigma30):
+        table, spec, sig = sigma30
+        coarse = build_sigma(steering_vector(array30, obj_grid), spec)
+        assert np.array_equal(coarse.sigma, sig.sigma)
+        assert np.array_equal(coarse.sigma_s, sig.sigma_s)
 
-    @pytest.mark.parametrize("phi_o_deg", [0.0, 47.0, 178.0])  # 178: the window wraps +-pi
-    def test_subtraction_matches_masked_rows(self, sigma30, phi_o_deg):
-        table, _, full = sigma30
+    @pytest.mark.parametrize(
+        "radius_m, freq_hz, n_elements, pitch_m",
+        [(0.4, 3.6e9, 30, 0.038), (1.0, 10e9, 40, 0.015)],
+        ids=("k0R_30", "k0R_209"),
+    )
+    def test_panel_self_convergence(self, monkeypatch, radius_m, freq_hz, n_elements, pitch_m):
+        """Doubling the nodes per panel moves no entry beyond rounding."""
+        arr = build_array(CylinderGeometry(radius_m, freq_hz), n_elements, pitch_m)
+        table = steering_vector(arr, AngularGrid.uniform(361))
+        spec = SteeringSpec(phi_o=np.radians(35.0), delta_phi=reference_window(arr))
+        sig = build_sigma(table, spec)
+        monkeypatch.setattr(optimizers, "SIGMA_PANEL_NODES", 2 * optimizers.SIGMA_PANEL_NODES)
+        doubled = build_sigma(table, spec)
+        scale = np.abs(sig.sigma).max()
+        assert np.abs(doubled.sigma - sig.sigma).max() <= 1e-12 * scale
+        assert np.abs(doubled.sigma_s - sig.sigma_s).max() <= 1e-12 * scale
+
+    @pytest.mark.parametrize(
+        "phi_o_deg, element_pattern",
+        [(0.0, "cos"), (47.0, "cos"), (178.0, "cos"), (47.0, "cos2")],  # 178: wraps +-pi
+    )
+    def test_sigma_s_matches_quad_oracle(self, array30, obj_grid, phi_o_deg, element_pattern):
+        table = steering_vector(array30, obj_grid, element_pattern)
         spec = SteeringSpec(phi_o=np.radians(phi_o_deg), delta_phi=np.radians(14.5))
-        excl = exclusion_set_mask(spec, table.grid)
-        assert excl.any() and not excl.all()
-        sig = build_sigma(table, spec, sigma=full.sigma)
-        ref = sigma_s_masked(table, excl)
-        assert np.abs(sig.sigma_s - ref).max() <= 1e-13 * np.linalg.norm(full.sigma, 2)
+        sig = build_sigma(table, spec)
+        ref = sigma_s_quad(array30, spec, element_pattern)
+        assert np.abs(sig.sigma_s - ref).max() <= 1e-12 * np.abs(sig.sigma).max()
         assert np.array_equal(sig.sigma_s, sig.sigma_s.conj().T)
 
-    def test_quadratic_form_exact_on_matched_grid(self, sigma30):
-        table, spec, sig = sigma30
+    def test_quadratic_forms_match_fine_trapezoid(self, array30, sigma30):
+        _, spec, sig = sigma30
+        table = steering_vector(array30, AngularGrid.uniform(57600))
         rng = np.random.default_rng(2)
-        excl = exclusion_set_mask(spec, table.grid)
-        for _ in range(100):
-            g = np.where(rng.random(30) < 0.5, 1.0, -1.0).astype(complex)
+        gs = [np.where(rng.random(30) < 0.5, 1.0, -1.0).astype(complex) for _ in range(100)]
+        ref_sides = exclusion_arc_power(array30, spec, np.stack(gs, axis=1))
+        for g, ref_side in zip(gs, ref_sides):
             full = float((g.conj() @ (sig.sigma @ g)).real)
             side = float((g.conj() @ (sig.sigma_s @ g)).real)
-            f = table.a @ g
-            assert abs(full - trapezoid_power(f, table.grid.spacing)) <= 1e-6 * full
-            ref_side = trapezoid_power(f, table.grid.spacing, mask=excl)
+            assert abs(full - trapezoid_power(table.a @ g, table.grid.spacing)) <= 1e-6 * full
             assert abs(side - ref_side) <= 1e-6 * max(ref_side, 1e-30)
 
 
@@ -238,8 +249,7 @@ class TestMpdrSynthesize:
         g = res.gamma.gamma
         recomputed = float((g.conj() @ (sig.sigma_s @ g)).real)
         assert recomputed == pytest.approx(res.objective, rel=1e-12)
-        excl = exclusion_set_mask(toy["spec"], table.grid)
-        direct = trapezoid_power(table.a @ g, table.grid.spacing, mask=excl)
+        direct = exclusion_arc_power(toy["array"], toy["spec"], g)
         assert direct == pytest.approx(res.objective, rel=1e-6)
 
     def test_deterministic(self, toy, toy_sigma):
@@ -255,6 +265,15 @@ class TestMpdrSynthesize:
         es = exhaustive_search(toy["table"], toy["spec"], toy["states"])
         mpdr_ratio = sll_objective(toy["table"], toy["spec"], res.gamma)
         assert mpdr_ratio >= es.objective - 1e-12
+
+    @pytest.mark.parametrize("psi_samples, psi_refine", [(0, 0), (36, -3)])
+    def test_rejects_empty_scan(self, toy, toy_sigma, psi_samples, psi_refine):
+        table, sig = toy_sigma
+        with pytest.raises(ValueError, match="psi_samples"):
+            mpdr_synthesize(
+                table, sig, toy["spec"], toy["states"],
+                psi_samples=psi_samples, psi_refine=psi_refine,
+            )
 
     def test_refinement_never_worsens_score(self, toy, toy_sigma):
         table, sig = toy_sigma
@@ -496,7 +515,6 @@ def test_singular_sigma_raises_numerical_error(toy):
     sig = SigmaMatrices(
         sigma=np.zeros((n, n), dtype=complex),
         sigma_s=np.zeros((n, n), dtype=complex),
-        grid_points=2880,
     )
     a_o = steering_vector_at(toy["array"], toy["spec"].phi_o)
     with pytest.raises(NumericalError):
@@ -505,8 +523,8 @@ def test_singular_sigma_raises_numerical_error(toy):
 
 def test_es_dominates_all_methods_on_toy(toy, toy_sigma):
     es = exhaustive_search(toy["table"], toy["spec"], toy["states"])
-    table_sigma, sig = toy_sigma
-    mpdr = mpdr_synthesize(table_sigma, sig, toy["spec"], toy["states"])
+    table, sig = toy_sigma
+    mpdr = mpdr_synthesize(table, sig, toy["spec"], toy["states"])
     ga = ga_synthesize(
         toy["table"], toy["spec"], toy["states"], GaConfig(population=60, generations=30), seed=0
     )
