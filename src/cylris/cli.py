@@ -53,14 +53,12 @@ def _build_parser() -> argparse.ArgumentParser:
     synth.add_argument("--workers", type=int, default=None, help="Override ES worker count.")
     synth.add_argument("--grid-points", type=int, default=None, help="Override output.grid_points.")
     synth.add_argument("-o", "--output-dir", default=None, help="Override output.directory.")
-    synth.add_argument("--timing", action="store_true", help="Record wall_time_ms in result.json.")
 
     sweep = sub.add_parser("sweep", help="Run every configured (method, angle) combination.")
     sweep.add_argument("-c", "--config", metavar="YAML", required=True)
     sweep.add_argument("--seed", type=int, default=None, help="Override the GA seed.")
     sweep.add_argument("--workers", type=int, default=None, help="Override ES worker count.")
     sweep.add_argument("-o", "--output-dir", default=None, help="Override output.directory.")
-    sweep.add_argument("--timing", action="store_true", help="Record wall_time_ms in result.json.")
 
     validate = sub.add_parser("validate", help="Run the identity and boundary-residual suites.")
     validate.add_argument("--radius-m", type=float, default=0.4)
@@ -95,8 +93,6 @@ def _apply_overrides(cfg: RunConfig, args: argparse.Namespace) -> RunConfig:
         if args.workers < 1:
             raise ConfigError(f"method.workers: must be an integer >= 1, got {args.workers}")
         params["workers"] = args.workers
-    if getattr(args, "timing", False):
-        updates["timing"] = True
     updates["method_params"] = params
     return replace(cfg, **updates)
 

@@ -88,7 +88,6 @@ class RunConfig:
     output_dir: str
     grid_points: int
     objective_grid_points: int
-    timing: bool
     n_elements: int | None = None
     arc_pitch_m: float | None = None
     element_pattern: str = "cos"
@@ -116,7 +115,6 @@ class RunConfig:
                 "directory": self.output_dir,
                 "grid_points": self.grid_points,
                 "objective_grid_points": self.objective_grid_points,
-                "timing": self.timing,
             },
         }
         if self.n_elements is not None:
@@ -181,11 +179,8 @@ def parse_config(raw: dict) -> RunConfig:
     if delta_phi_mode not in ("ref_factor", "absolute_deg"):
         raise ConfigError("steering.delta_phi_mode: must be 'ref_factor' or 'absolute_deg'")
     delta_phi_value = _get(
-        steer, "value", float, "steering", default=1.2 if delta_phi_mode == "ref_factor" else None,
-        required=delta_phi_mode == "absolute_deg",
+        steer, "value", float, "steering", default=1.2, required=delta_phi_mode == "absolute_deg"
     )
-    if delta_phi_value is None:
-        delta_phi_value = 1.2
     if delta_phi_value <= 0:
         raise ConfigError("steering.value: must be positive")
 
@@ -221,7 +216,10 @@ def parse_config(raw: dict) -> RunConfig:
     }
     if method_params["shadow_model"] not in ("cancel", "none"):
         raise ConfigError("method.shadow_model: must be 'cancel' or 'none'")
-    lowest = {"workers": 1, "psi_samples": 1, "psi_refine": 0, "population": 2, "generations": 0}
+    lowest = {
+        "budget": 1, "workers": 1, "psi_samples": 1, "psi_refine": 0,
+        "population": 2, "generations": 0,
+    }
     for key, low in lowest.items():
         if (value := method_params[key]) < low:
             raise ConfigError(f"method.{key}: must be an integer >= {low}, got {value}")
@@ -230,8 +228,8 @@ def parse_config(raw: dict) -> RunConfig:
             raise ConfigError(f"method.{key}: must lie in [0, 1], got {value}")
 
     out = _require_mapping(raw.get("output"), "output")
-    # sigma_grid_points: accepted from old configs and manifests, no effect
-    # (Sigma is integrated exactly, on no grid)
+    # sigma_grid_points and timing: accepted from old configs and manifests,
+    # no effect (Sigma is integrated on no grid; runs record no clock)
     _check_unknown(
         out,
         ("directory", "grid_points", "objective_grid_points", "sigma_grid_points", "timing"),
@@ -240,7 +238,6 @@ def parse_config(raw: dict) -> RunConfig:
     output_dir = _get(out, "directory", str, "output", default="out")
     grid_points = _get(out, "grid_points", int, "output", default=3601)
     objective_grid_points = _get(out, "objective_grid_points", int, "output", default=361)
-    timing = _get(out, "timing", bool, "output", default=False)
     for label, n in (
         ("grid_points", grid_points),
         ("objective_grid_points", objective_grid_points),
@@ -265,7 +262,6 @@ def parse_config(raw: dict) -> RunConfig:
         output_dir=output_dir,
         grid_points=grid_points,
         objective_grid_points=objective_grid_points,
-        timing=timing,
         n_elements=n_elements,
         arc_pitch_m=arc_pitch_m,
         element_pattern=element_pattern,

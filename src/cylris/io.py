@@ -2,8 +2,7 @@
 
 Floats are written with `repr`, which is the shortest round-trip form, so
 files are lossless and byte-stable across runs with identical inputs. No
-timestamps are ever written; the only run-to-run varying field is the
-optional wall_time_ms, which stays null unless timing was requested.
+timestamps or clock readings are ever written.
 """
 
 from __future__ import annotations
@@ -119,7 +118,7 @@ def write_state_sets_json(path, array, state_sets, metadata: dict | None = None)
     write_json(path, payload)
 
 
-def write_result_json(path, result: SynthesisResult, include_timing: bool = False) -> None:
+def write_result_json(path, result: SynthesisResult) -> None:
     idx = result.gamma.state_indices
     payload = {
         "method": result.method,
@@ -127,7 +126,6 @@ def write_result_json(path, result: SynthesisResult, include_timing: bool = Fals
         "objective_kind": result.objective_kind,
         "objective_db": _objective_db(result),
         "evaluations": result.evaluations,
-        "wall_time_ms": result.wall_time_s * 1e3 if include_timing else None,
         "rng_seed": result.rng_seed,
         "gamma": [
             {

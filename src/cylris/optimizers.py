@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import functools
 import itertools
-import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
@@ -26,11 +25,11 @@ from .discrete_model import (
     ElementArray,
     ExcitationVector,
     SteeringVectorTable,
+    conjugate_phase_excitation,
     steering_vector_at,
 )
 from .errors import BudgetExceededError, NumericalError
 from .geometry import SteeringSpec, exclusion_set_mask, wrap_angle
-from .go_synth import phase_function
 
 __all__ = [
     "SigmaMatrices",
@@ -76,7 +75,6 @@ class SynthesisResult:
     objective: float
     objective_kind: str
     evaluations: int
-    wall_time_s: float
     rng_seed: int | None = None
     history: tuple[float, ...] | None = None
 
@@ -184,14 +182,7 @@ def project_to_states(
 def sll_objective(table: SteeringVectorTable, spec: SteeringSpec, gamma) -> float:
     """Sidelobe objective: max |F| over the exclusion set / global max |F|."""
     g = gamma.gamma if isinstance(gamma, ExcitationVector) else np.asarray(gamma, dtype=complex)
-    mag = np.abs(table.a @ g)
-    peak = mag.max()
-    if peak == 0:
-        return np.inf
-    excl = exclusion_set_mask(spec, table.grid)
-    if not excl.any():
-        return 0.0
-    return float(mag[excl].max() / peak)
+    return float(_objective_batch((table.a @ g)[:, None], exclusion_set_mask(spec, table.grid))[0])
 
 
 def _objective_batch(patterns: np.ndarray, excl: np.ndarray) -> np.ndarray:
@@ -200,7 +191,8 @@ def _objective_batch(patterns: np.ndarray, excl: np.ndarray) -> np.ndarray:
     The exclusion set is a few runs of grid rows, so its maximum is taken
     over row slices rather than a copy of most of the block; the peak adds
     the protected-window rows. max is exact, so this is max|F| over the
-    exclusion set / max|F|.
+    exclusion set / max|F|: inf for an all-zero pattern, 0.0 when the
+    exclusion set is empty.
     """
     mag = np.abs(patterns)
     if not excl.any():
@@ -232,7 +224,6 @@ def mpdr_synthesize(
     first minimum wins. Fully deterministic. Of `table`, only the array and
     element pattern are read.
     """
-    t0 = time.perf_counter()
     if psi_samples < 1 or psi_refine < 0:
         raise ValueError(f"need psi_samples >= 1, psi_refine >= 0; got {psi_samples}, {psi_refine}")
     # exact steering vector at phi_o, not a grid snap
@@ -258,7 +249,6 @@ def mpdr_synthesize(
         objective=score,
         objective_kind="sidelobe_power",
         evaluations=psi_samples + psi_refine,
-        wall_time_s=time.perf_counter() - t0,
     )
 
 
@@ -330,7 +320,6 @@ def exhaustive_search(
     the ordered reduction keeps the result identical to a serial run.
     `evaluations` is L^N, the size of the space covered.
     """
-    t0 = time.perf_counter()
     if workers < 1 or batch < 1:
         raise ValueError(f"workers and batch must be >= 1, got {workers} and {batch}")
     n_el = table.n_elements
@@ -384,7 +373,6 @@ def exhaustive_search(
         objective=sll_objective(table, spec, gamma),
         objective_kind="sll_ratio",
         evaluations=total,
-        wall_time_s=time.perf_counter() - t0,
     )
 
 
@@ -423,16 +411,16 @@ def ga_synthesize(
     state_sets: list[np.ndarray],
     config: GaConfig | None = None,
     seed: int = 0,
-    track_history: bool = False,
 ) -> SynthesisResult:
     """Integer-chromosome GA for the sidelobe ratio (one gene per element).
 
     Tournament selection of size two, uniform crossover, per-gene mutation
     to a different random state, elitism of one. A single seeded generator
     drives every draw, so identical seeds give identical results.
+    `history` holds the best objective of the initial population and after
+    each generation (generations + 1 values).
     """
     cfg = config or GaConfig()
-    t0 = time.perf_counter()
     n_el = table.n_elements
     n_states = len(state_sets[0])
     if any(len(s) != n_states for s in state_sets):
@@ -451,7 +439,7 @@ def ga_synthesize(
     evaluations = cfg.population
     i_best = int(np.argmin(fit))
     best_fit, best_chrom = float(fit[i_best]), pop[i_best].copy()
-    history = [best_fit] if track_history else None
+    history = [best_fit]
 
     n_children = cfg.population - 1  # the elite fills the remaining slot
     n_pairs = n_children // 2
@@ -474,8 +462,7 @@ def ga_synthesize(
         i = int(np.argmin(fit))
         if fit[i] < best_fit:
             best_fit, best_chrom = float(fit[i]), pop[i].copy()
-        if history is not None:
-            history.append(best_fit)
+        history.append(best_fit)
 
     gamma = ExcitationVector(
         gamma=states_matrix[cols, best_chrom],
@@ -488,39 +475,26 @@ def ga_synthesize(
         objective=best_fit,
         objective_kind="sll_ratio",
         evaluations=evaluations,
-        wall_time_s=time.perf_counter() - t0,
         rng_seed=seed,
-        history=tuple(history) if history is not None else None,
+        history=tuple(history),
     )
 
 
 def go_quantized(
-    array: ElementArray,
-    phi_o: float,
-    state_sets: list[np.ndarray],
-    table: SteeringVectorTable | None = None,
-    spec: SteeringSpec | None = None,
+    table: SteeringVectorTable, spec: SteeringSpec, state_sets: list[np.ndarray]
 ) -> SynthesisResult:
     """Sample the geometrical-optics reflection at the element positions and
     quantize to the nearest available states. Closed form, deterministic.
 
-    The sidelobe objective is reported when a table and steering spec are
-    supplied, NaN otherwise.
+    The GO reflection exp(-j Phi_r(alpha_n)) is the cophasal excitation
+    pointed at spec.phi_o; the sidelobe objective is scored on `table`.
     """
-    t0 = time.perf_counter()
-    gamma_cont = np.exp(-1j * phase_function(array.geom, phi_o, array.alphas))
-    proj = project_to_states(gamma_cont, state_sets)
-    gamma = ExcitationVector(
-        gamma=proj.gamma, provenance="go_q", state_indices=proj.state_indices
-    )
-    obj = np.nan
-    if table is not None and spec is not None:
-        obj = sll_objective(table, spec, gamma)
+    proj = project_to_states(conjugate_phase_excitation(table.array, spec.phi_o), state_sets)
+    gamma = ExcitationVector(gamma=proj.gamma, provenance="go_q", state_indices=proj.state_indices)
     return SynthesisResult(
         method="go_q",
         gamma=gamma,
-        objective=float(obj),
+        objective=sll_objective(table, spec, gamma),
         objective_kind="sll_ratio",
         evaluations=1,
-        wall_time_s=time.perf_counter() - t0,
     )

@@ -3,8 +3,8 @@
 A run writes pattern.csv, metrics.json, result.json (discrete methods),
 impedance.csv (continuous syntheses) and manifest.json into its output
 directory. The manifest embeds the fully resolved config; re-running from
-it reproduces the other artifacts byte for byte (timing is opt-in and
-excluded by default for that reason).
+it reproduces the other artifacts byte for byte, so no artifact records a
+clock.
 """
 
 from __future__ import annotations
@@ -79,11 +79,20 @@ def _delta_phi(cfg: RunConfig, ctx: _ArrayContext) -> float:
 
 
 def _require_window_sample(spec: SteeringSpec, n_points: int, key: str) -> None:
-    """Refuse a grid whose every sample lies in the exclusion set."""
-    if exclusion_set_mask(spec, AngularGrid.uniform(n_points)).all():
+    """Refuse a grid with no sample inside the protected window or none outside it.
+
+    Either way the sidelobe ratio is not defined on that grid.
+    """
+    excl = exclusion_set_mask(spec, AngularGrid.uniform(n_points))
+    if excl.all():
         raise ConfigError(
             f"output.{key}: no sample of the {n_points}-point grid lies inside the "
             f"{np.degrees(spec.delta_phi):.4g} deg protected window"
+        )
+    if not excl.any():
+        raise ConfigError(
+            f"steering.value: the {np.degrees(spec.delta_phi):.4g} deg protected window "
+            f"leaves no sample of the {n_points}-point output.{key} grid outside it"
         )
 
 
@@ -132,9 +141,8 @@ def _run_continuous(
 def _run_discrete(
     cfg: RunConfig, ctx: _ArrayContext, method: str, phi_o: float, spec: SteeringSpec, outdir: Path
 ):
-    scored_on = ("grid_points",) if method == "mpdr" else ("objective_grid_points", "grid_points")
-    for key in scored_on:
-        _require_window_sample(spec, getattr(cfg, key), key)
+    if method != "mpdr":  # mpdr scores on no grid
+        _require_window_sample(spec, cfg.objective_grid_points, "objective_grid_points")
     array = ctx.array
     state_table = _state_table(cfg)
     state_sets = meta_atom.state_sets_for_array(state_table, array)
@@ -160,16 +168,14 @@ def _run_discrete(
             psi_samples=params["psi_samples"], psi_refine=params["psi_refine"],
         )
     elif method == "go_q":
-        result = optimizers.go_quantized(
-            array, phi_o, state_sets, table=ctx.table(cfg.objective_grid_points), spec=spec
-        )
+        result = optimizers.go_quantized(ctx.table(cfg.objective_grid_points), spec, state_sets)
     else:  # pragma: no cover - guarded by config validation
         raise ConfigError(f"unknown discrete method {method}")
     pattern = far_field_discrete(ctx.table(cfg.grid_points), result.gamma)
     m = pattern_metrics(pattern, spec)
     io.write_pattern_csv(outdir / "pattern.csv", pattern)
     io.write_metrics_json(outdir / "metrics.json", m)
-    io.write_result_json(outdir / "result.json", result, include_timing=cfg.timing)
+    io.write_result_json(outdir / "result.json", result)
     return pattern, m, result
 
 
@@ -185,6 +191,7 @@ def run_single(cfg: RunConfig, outdir=None, command: str = "synth", _context=Non
     method = cfg.methods[0]
     phi_o = float(np.radians(cfg.phi_o_deg[0]))
     spec = SteeringSpec(phi_o=phi_o, delta_phi=_delta_phi(cfg, ctx))
+    _require_window_sample(spec, cfg.grid_points, "grid_points")
     if ctx.array is not None:
         spec.warn_if_below_reference(ctx.reference_window())
     outdir = Path(outdir if outdir is not None else cfg.output_dir)

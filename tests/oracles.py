@@ -7,6 +7,8 @@ boundary-condition series in reverse order with mpmath's own cylinder
 functions, the modal-sum oracle builds the dense grid x (2M+1) phase matrix
 the FFT kernel avoids, and the search, psi-scan and crossover oracles walk
 candidates, elements and pairs one at a time with plain Python loops. The
+sidelobe-ratio oracle (the library's former `sll_objective`) takes the
+exclusion-set maximum through a boolean-mask copy instead of row runs. The
 gemm search (the library's former kernel) scores whole enumeration batches
 by one matrix product instead of split sums, and Sigma_S is integrated entry
 by entry with adaptive `quad` instead of fixed Gauss-Legendre panels.
@@ -21,7 +23,7 @@ import mpmath as mp
 import numpy as np
 from scipy.integrate import quad
 
-from cylris import steering_vector_at
+from cylris import exclusion_set_mask, steering_vector_at
 
 
 def bessel_j_series(m: int, x: float, dps: int = 50) -> float:
@@ -117,6 +119,21 @@ def brute_force_search(a_matrix: np.ndarray, excl: np.ndarray, state_sets) -> tu
         if ratio < best_val:
             best_val, best_idx = float(ratio), idx
     return best_val, best_idx
+
+
+def sll_ratio_masked(table, spec, gamma) -> float:
+    """max |F| over the exclusion set / global max |F|, through a mask copy.
+
+    inf for an all-zero pattern, 0.0 when the exclusion set is empty.
+    """
+    mag = np.abs(table.a @ np.asarray(gamma, dtype=complex))
+    peak = mag.max()
+    if peak == 0:
+        return np.inf
+    excl = exclusion_set_mask(spec, table.grid)
+    if not excl.any():
+        return 0.0
+    return float(mag[excl].max() / peak)
 
 
 def trapezoid_power(f: np.ndarray, spacing: float) -> float:

@@ -95,7 +95,7 @@ class TestSynthCommand:
         assert metrics["sll_db"] < 0
         result = json.loads((out / "result.json").read_text())
         assert result["method"] == "mpdr"
-        assert result["wall_time_ms"] is None
+        assert "wall_time_ms" not in result
         assert len(result["gamma"]) == 8
         manifest = json.loads((out / "manifest.json").read_text())
         assert manifest["config"]["steering"]["phi_o_deg"] == [20.0]
@@ -231,6 +231,7 @@ KEYED_BAD_INPUTS = {
     "workers_0_cli": (lambda tmp: _es_argv(tmp) + ["--workers", "0"], "method.workers"),
     "workers_-3_cli": (lambda tmp: _es_argv(tmp) + ["--workers", "-3"], "method.workers"),
     "workers_abc_cli": (lambda tmp: _es_argv(tmp) + ["--workers", "abc"], "--workers"),
+    "timing_flag_removed_cli": (lambda tmp: _es_argv(tmp) + ["--timing"], "--timing"),
     "objective_grid_points_3": (
         _with("output", "objective_grid_points", 3, "es"), "output.objective_grid_points"
     ),
@@ -246,6 +247,20 @@ KEYED_BAD_INPUTS = {
     "p_mutation_2": (_with("method", "p_mutation", 2.0, "ga"), "method.p_mutation"),
     "psi_samples_0": (_with("method", "psi_samples", 0, "mpdr"), "method.psi_samples"),
     "psi_refine_-3": (_with("method", "psi_refine", -3, "mpdr"), "method.psi_refine"),
+    "budget_-1": (_with("method", "budget", -1, "es"), "method.budget"),
+    "budget_0": (_with("method", "budget", 0, "es"), "method.budget"),
+    # a protected window that covers the whole circle leaves no sidelobe region
+    "ref_factor_window_whole_circle": (_with("geometry", "freq_hz", 1.0e9), "steering.value"),
+    "absolute_window_whole_circle": (
+        lambda tmp: _synth_argv(
+            tmp,
+            toy_config(
+                tmp / "run", method="exact",
+                steering={"delta_phi_mode": "absolute_deg", "value": 400.0},
+            ),
+        ),
+        "steering.value",
+    ),
 }
 
 
@@ -326,18 +341,21 @@ class TestDeterminism:
         assert method == {"name": ["go"], "shadow_model": "cancel"}
         assert_replays(out, tmp_path / "replay")
 
-    def test_sigma_grid_points_accepted_and_ignored(self, tmp_path):
-        """A config or manifest that still carries output.sigma_grid_points
-        writes the same bytes as one without it, and the key is not written back."""
+    @pytest.mark.parametrize(
+        "key, value", [("sigma_grid_points", 57600), ("timing", True), ("timing", False)]
+    )
+    def test_retired_output_key_accepted_and_ignored(self, tmp_path, key, value):
+        """A config or manifest that still carries a retired output key writes
+        the same bytes as one without it, and the key is not written back."""
         plain = tmp_path / "plain"
         assert run_cli(["synth", "-c", str(write_config(tmp_path, toy_config(plain)))]) == 0
-        old_cfg = toy_config(tmp_path / "old_cfg", output={"sigma_grid_points": 100})
+        old_cfg = toy_config(tmp_path / "old_cfg", output={key: value})
         assert run_cli(["synth", "-c", str(write_config(tmp_path, old_cfg, "old.yaml"))]) == 0
         manifest = json.loads((plain / "manifest.json").read_text())
         expected = dict(manifest["config"]["output"])
         expected.pop("directory")
-        assert "sigma_grid_points" not in expected
-        manifest["config"]["output"]["sigma_grid_points"] = 57600
+        assert key not in expected
+        manifest["config"]["output"][key] = value
         old_manifest = tmp_path / "old_manifest.json"
         old_manifest.write_text(json.dumps(manifest))
         argv = ["synth", "--from-manifest", str(old_manifest), "-o", str(tmp_path / "old_man")]

@@ -10,10 +10,12 @@ from cylris import (
     SteeringSpec,
     build_array,
     build_sigma,
+    conjugate_phase_excitation,
     exclusion_set_mask,
     exhaustive_search,
     ga_synthesize,
     go_quantized,
+    go_reflection,
     ideal_one_bit,
     mpdr_relaxed,
     mpdr_synthesize,
@@ -35,6 +37,7 @@ from oracles import (
     mpdr_scan_loop,
     nearest_state_loop,
     sigma_s_quad,
+    sll_ratio_masked,
     trapezoid_power,
 )
 
@@ -433,10 +436,9 @@ class TestGa:
 
     def test_selection_only_monotone_elite(self, toy):
         cfg = GaConfig(population=30, generations=15, p_crossover=0.0, p_mutation=0.0)
-        res = ga_synthesize(
-            toy["table"], toy["spec"], toy["states"], cfg, seed=4, track_history=True
-        )
+        res = ga_synthesize(toy["table"], toy["spec"], toy["states"], cfg, seed=4)
         hist = np.array(res.history)
+        assert hist.size == cfg.generations + 1
         assert np.all(np.diff(hist) <= 0)
 
     def test_close_to_exhaustive_on_toy(self, toy):
@@ -466,9 +468,7 @@ class TestGa:
         cfg = GaConfig(population=population, generations=25)
 
         def run():
-            return ga_synthesize(
-                toy["table"], toy["spec"], toy["states"], cfg, seed=7, track_history=True
-            )
+            return ga_synthesize(toy["table"], toy["spec"], toy["states"], cfg, seed=7)
 
         fast = run()
         monkeypatch.setattr(optimizers, "_crossover", crossover_loop)
@@ -487,25 +487,62 @@ class TestGa:
 
 class TestGoQuantized:
     def test_sign_quantization_structure(self, toy):
-        res = go_quantized(toy["array"], toy["spec"].phi_o, toy["states"])
+        res = go_quantized(toy["table"], toy["spec"], toy["states"])
         phase = phase_function(toy["geom"], toy["spec"].phi_o, toy["array"].alphas)
         expected = np.where(np.cos(phase) >= 0, 1.0, -1.0)
         assert np.array_equal(res.gamma.gamma, expected.astype(complex))
 
     def test_never_beats_exhaustive_floor(self, toy):
         es = exhaustive_search(toy["table"], toy["spec"], toy["states"])
-        res = go_quantized(
-            toy["array"], toy["spec"].phi_o, toy["states"], table=toy["table"], spec=toy["spec"]
-        )
+        res = go_quantized(toy["table"], toy["spec"], toy["states"])
         assert res.objective >= es.objective - 1e-12
 
     def test_objective_recomputable(self, toy):
-        res = go_quantized(
-            toy["array"], toy["spec"].phi_o, toy["states"], table=toy["table"], spec=toy["spec"]
-        )
+        res = go_quantized(toy["table"], toy["spec"], toy["states"])
         assert sll_objective(toy["table"], toy["spec"], res.gamma) == pytest.approx(
             res.objective, rel=1e-12
         )
+
+    @pytest.mark.parametrize("n_elements, radius_m", [(8, 0.12), (30, 0.4)])
+    def test_go_reflection_is_the_cophasal_excitation(self, n_elements, radius_m):
+        array = build_array(CylinderGeometry(radius_m, 3.6e9), n_elements, 0.038)
+        for phi_o in np.radians(np.arange(-80.0, 81.0)):
+            assert np.array_equal(
+                conjugate_phase_excitation(array, phi_o).gamma,
+                go_reflection(array.geom, phi_o, array.alphas),
+            )
+
+
+class TestSllObjective:
+    @pytest.mark.parametrize(
+        "n_elements, radius_m, grid_points, element_pattern",
+        [(8, 0.12, 361, "cos"), (30, 0.4, 3601, "cos"), (30, 0.4, 361, "cos2")],
+    )
+    def test_matches_masked_ratio_oracle(self, n_elements, radius_m, grid_points, element_pattern):
+        array = build_array(CylinderGeometry(radius_m, 3.6e9), n_elements, 0.038)
+        table = steering_vector(array, AngularGrid.uniform(grid_points), element_pattern)
+        rng = np.random.default_rng(n_elements + grid_points)
+        specs = [
+            SteeringSpec(phi_o=rng.uniform(-np.pi, np.pi), delta_phi=rng.uniform(0.01, 2 * np.pi))
+            for _ in range(12)
+        ]
+        specs += [
+            SteeringSpec(phi_o=np.radians(178.0), delta_phi=np.radians(10.0)),  # wraps +-pi
+            SteeringSpec(phi_o=np.radians(30.0), delta_phi=2 * np.pi),
+            SteeringSpec(phi_o=np.radians(-30.0), delta_phi=np.radians(400.0)),
+        ]
+        gammas = rng.standard_normal((8, n_elements)) + 1j * rng.standard_normal((8, n_elements))
+        gammas = np.vstack([gammas, rng.choice([1.0, -1.0], size=(8, n_elements))])
+        zero = np.zeros(n_elements)
+        for spec in specs:
+            for g in gammas:
+                assert sll_objective(table, spec, g) == sll_ratio_masked(table, spec, g)
+            # 0/0 (a zero pattern, no sidelobe sample) is the one case left undefined
+            if exclusion_set_mask(spec, table.grid).any():
+                assert sll_objective(table, spec, zero) == sll_ratio_masked(table, spec, zero)
+        assert sll_objective(table, specs[-3], zero) == np.inf  # all-zero pattern
+        for wide in specs[-2:]:  # empty exclusion set
+            assert sll_objective(table, wide, gammas[0]) == 0.0
 
 
 def test_singular_sigma_raises_numerical_error(toy):
@@ -528,6 +565,6 @@ def test_es_dominates_all_methods_on_toy(toy, toy_sigma):
     ga = ga_synthesize(
         toy["table"], toy["spec"], toy["states"], GaConfig(population=60, generations=30), seed=0
     )
-    goq = go_quantized(toy["array"], toy["spec"].phi_o, toy["states"])
+    goq = go_quantized(toy["table"], toy["spec"], toy["states"])
     for gamma in (mpdr.gamma, ga.gamma, goq.gamma):
         assert sll_objective(toy["table"], toy["spec"], gamma) >= es.objective - 1e-12
