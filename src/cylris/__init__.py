@@ -9,6 +9,7 @@ from .geometry import (
     SteeringSpec,
     exclusion_set_mask,
     incident_field,
+    phase_function,
     wrap_angle,
 )
 from .exact_synth import (
@@ -27,7 +28,6 @@ from .go_synth import (
     far_field_po,
     go_impedance,
     go_reflection,
-    phase_function,
 )
 from .discrete_model import (
     ElementArray,

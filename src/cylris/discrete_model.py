@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import AngularGrid, CylinderGeometry, wrap_angle
+from .geometry import AngularGrid, CylinderGeometry, phase_function, wrap_angle
 from .patterns import PatternGrid, first_null_width, half_power_width
 
 __all__ = [
@@ -171,8 +171,8 @@ def far_field_discrete(table: SteeringVectorTable, gamma) -> PatternGrid:
 
 
 def conjugate_phase_excitation(array: ElementArray, phi_o: float) -> ExcitationVector:
-    """Cophasal unit-amplitude reference excitation pointed at phi_o."""
-    g = np.exp(-1j * array.geom.k0r * (np.cos(phi_o - array.alphas) + np.cos(array.alphas)))
+    """Cophasal reference excitation: the GO reflection exp(-j Phi_r) at alpha_n."""
+    g = np.exp(-1j * phase_function(array.geom, phi_o, array.alphas))
     return ExcitationVector(gamma=g, provenance="conjugate_phase")
 
 

@@ -20,6 +20,7 @@ __all__ = [
     "SteeringSpec",
     "AngularGrid",
     "incident_field",
+    "phase_function",
     "exclusion_set_mask",
 ]
 
@@ -68,6 +69,13 @@ def incident_field(geom: CylinderGeometry, r, phi):
         raise ValueError("radius must be non-negative")
     out = np.exp(1j * geom.k0 * r * np.cos(np.asarray(phi, dtype=float)))
     return out if out.ndim else complex(out)
+
+
+def phase_function(geom: CylinderGeometry, phi_o: float, phi) -> np.ndarray:
+    """Round-trip phase Phi_r(phi) = k0 R [cos(phi - phi_o) + cos(phi)]; exp(-j Phi_r) is
+    both the GO reflection and the cophasal array excitation."""
+    phi = np.asarray(phi, dtype=float)
+    return geom.k0r * (np.cos(phi - phi_o) + np.cos(phi))
 
 
 @dataclass(frozen=True)

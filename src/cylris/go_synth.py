@@ -21,7 +21,7 @@ import numpy as np
 
 from . import specfun
 from .exact_synth import ModalExpansion, far_field_exact, required_grid_points
-from .geometry import AngularGrid, CylinderGeometry, incident_field, wrap_angle
+from .geometry import AngularGrid, CylinderGeometry, incident_field, phase_function, wrap_angle
 from .patterns import PatternGrid
 
 __all__ = [
@@ -45,12 +45,6 @@ class GoProfile:
     gamma: np.ndarray
     z_over_eta0: np.ndarray
     singular_mask: np.ndarray
-
-
-def phase_function(geom: CylinderGeometry, phi_o: float, phi) -> np.ndarray:
-    """Round-trip phase Phi_r(phi) = k0 R [cos(phi - phi_o) + cos(phi)]."""
-    phi = np.asarray(phi, dtype=float)
-    return geom.k0r * (np.cos(phi - phi_o) + np.cos(phi))
 
 
 def go_reflection(geom: CylinderGeometry, phi_o: float, phi) -> np.ndarray:

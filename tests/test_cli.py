@@ -342,20 +342,24 @@ class TestDeterminism:
         assert_replays(out, tmp_path / "replay")
 
     @pytest.mark.parametrize(
-        "key, value", [("sigma_grid_points", 57600), ("timing", True), ("timing", False)]
+        "key, cfg_value, manifest_value",
+        [("sigma_grid_points", 100, 57600), ("timing", True, False), ("timing", False, True)],
     )
-    def test_retired_output_key_accepted_and_ignored(self, tmp_path, key, value):
+    def test_retired_output_key_accepted_and_ignored(
+        self, tmp_path, key, cfg_value, manifest_value
+    ):
         """A config or manifest that still carries a retired output key writes
-        the same bytes as one without it, and the key is not written back."""
+        the same bytes as one without it, and the key is not written back.
+        sigma_grid_points: 100 was below the floor the key once had."""
         plain = tmp_path / "plain"
         assert run_cli(["synth", "-c", str(write_config(tmp_path, toy_config(plain)))]) == 0
-        old_cfg = toy_config(tmp_path / "old_cfg", output={key: value})
+        old_cfg = toy_config(tmp_path / "old_cfg", output={key: cfg_value})
         assert run_cli(["synth", "-c", str(write_config(tmp_path, old_cfg, "old.yaml"))]) == 0
         manifest = json.loads((plain / "manifest.json").read_text())
         expected = dict(manifest["config"]["output"])
         expected.pop("directory")
         assert key not in expected
-        manifest["config"]["output"][key] = value
+        manifest["config"]["output"][key] = manifest_value
         old_manifest = tmp_path / "old_manifest.json"
         old_manifest.write_text(json.dumps(manifest))
         argv = ["synth", "--from-manifest", str(old_manifest), "-o", str(tmp_path / "old_man")]

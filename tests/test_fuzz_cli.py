@@ -7,9 +7,10 @@ short string or a list. Whatever the input, the run ends in a documented
 exit code, reports a failure as exactly one JSON line on stderr, and never
 reports success with a non-finite peak or sidelobe level.
 
-Finite numbers stay within +-1000, so every example is small: grid sizes,
-psi scans and the electrical size k0R all scale the work (an MPDR run at
-k0R ~ 1e6 asks for gigabytes), and that is not what this test probes.
+Finite numbers stay within +-1000, and the radius within +-2 m (k0R <= 151
+at 3.6 GHz), so every example is small: grid sizes, psi scans and the
+electrical size k0R all scale the work (an MPDR run at k0R ~ 1e6 asks for
+gigabytes), and that is not what this test probes.
 """
 
 import json
@@ -61,17 +62,28 @@ KEYS = (
     ("output", "objective_grid_points"),
 )
 
-VALUES = st.one_of(
-    st.none(),
-    st.booleans(),
-    st.integers(min_value=-5, max_value=1000),
-    st.floats(min_value=-1000.0, max_value=1000.0),
-    st.sampled_from([math.nan, math.inf, -math.inf]),
-    st.text(max_size=4),
-    st.lists(st.integers(min_value=-5, max_value=90), max_size=3),
-)
+# The largest finite number drawn for a key; the radius sets k0R.
+LIMITS = {("geometry", "radius_m"): 2}
 
-MUTATIONS = st.lists(st.tuples(st.sampled_from(KEYS), VALUES), max_size=2)
+
+def values(limit: int):
+    return st.one_of(
+        st.none(),
+        st.booleans(),
+        st.integers(min_value=-5, max_value=limit),
+        st.floats(min_value=-limit, max_value=limit),
+        st.sampled_from([math.nan, math.inf, -math.inf]),
+        st.text(max_size=4),
+        st.lists(st.integers(min_value=-5, max_value=90), max_size=3),
+    )
+
+
+MUTATIONS = st.lists(
+    st.sampled_from(KEYS).flatmap(
+        lambda key: st.tuples(st.just(key), values(LIMITS.get(key, 1000)))
+    ),
+    max_size=2,
+)
 
 
 @settings(
