@@ -31,7 +31,6 @@ from .go_synth import (
 )
 from .discrete_model import (
     ElementArray,
-    ExcitationVector,
     SteeringVectorTable,
     build_array,
     conjugate_phase_excitation,
@@ -49,7 +48,6 @@ from .meta_atom import (
     state_sets_for_array,
 )
 from .optimizers import (
-    GaConfig,
     SigmaMatrices,
     SynthesisResult,
     build_sigma,

@@ -2,8 +2,9 @@
 
 Subcommands: synth (one method, one angle), sweep (angle list x method
 list), validate (identity and boundary-condition suites), compare (merge
-prior runs). Exit codes: 0 ok, 2 config error, 3 budget guard, 4 numerical
-failure. Errors are emitted as a single JSON line on stderr.
+prior runs). Exit codes: 0 ok, 2 config error, 3 resource guard (the
+exhaustive-search budget, or out of memory), 4 numerical failure. Errors are
+emitted as a single JSON line on stderr.
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ from .pipeline import compare_runs, run_single, run_sweep, run_validation
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
-EXIT_BUDGET = 3
+EXIT_BUDGET = 3  # also out of memory
 EXIT_NUMERICAL = 4
 
 
@@ -169,7 +170,8 @@ _COMMANDS = {
 
 
 def _fail(exc: Exception, code: int) -> int:
-    sys.stderr.write(json.dumps({"error": str(exc), "code": code}) + "\n")
+    message = str(exc) or type(exc).__name__  # a bare MemoryError has no message
+    sys.stderr.write(json.dumps({"error": message, "code": code}) + "\n")
     return code
 
 
@@ -177,7 +179,7 @@ def main(argv: list[str] | None = None) -> int:
     try:
         args = _build_parser().parse_args(argv)
         return _COMMANDS[args.command](args)
-    except BudgetExceededError as exc:
+    except (BudgetExceededError, MemoryError) as exc:
         return _fail(exc, EXIT_BUDGET)
     except (NumericalError, np.linalg.LinAlgError, FloatingPointError) as exc:
         return _fail(exc, EXIT_NUMERICAL)

@@ -94,6 +94,10 @@ class RunConfig:
     meta_atom_model: str = "constant"
     meta_atom_table: str | None = None
 
+    def params_for(self, method: str) -> dict:
+        """The parameters of one method, keyed by their `method` config keys."""
+        return {key: self.method_params[key] for key in _METHOD_PARAMS[method]}
+
     def resolved(self) -> dict:
         """Fully defaulted config dictionary, the manifest's `config` entry.
 
@@ -101,8 +105,9 @@ class RunConfig:
         replays. The worker count is an execution detail, not configuration:
         parallel and serial runs must produce identical artifacts.
         """
-        keys = {k for m in self.methods for k in _METHOD_PARAMS[m]} - {"workers"}
-        params = {k: v for k, v in self.method_params.items() if k in keys}
+        params = {
+            k: v for m in self.methods for k, v in self.params_for(m).items() if k != "workers"
+        }
         out = {
             "geometry": {"radius_m": self.radius_m, "freq_hz": self.freq_hz},
             "steering": {

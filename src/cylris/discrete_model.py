@@ -21,7 +21,6 @@ from .patterns import PatternGrid, first_null_width, half_power_width
 __all__ = [
     "ElementArray",
     "SteeringVectorTable",
-    "ExcitationVector",
     "build_array",
     "steering_vector",
     "steering_vector_at",
@@ -142,38 +141,17 @@ def steering_vector_at(array: ElementArray, phi, element_pattern: str = "cos") -
     return a
 
 
-@dataclass(frozen=True)
-class ExcitationVector:
-    """Per-element reflection coefficients plus their provenance."""
-
-    gamma: np.ndarray
-    provenance: str = "manual"
-    state_indices: np.ndarray | None = None
-
-    def __post_init__(self):
-        g = np.asarray(self.gamma, dtype=complex)
-        if g.ndim != 1:
-            raise ValueError("gamma must be a vector")
-        object.__setattr__(self, "gamma", g)
-        if self.state_indices is not None:
-            idx = np.asarray(self.state_indices, dtype=np.int64)
-            if idx.shape != g.shape:
-                raise ValueError("state_indices must match gamma length")
-            object.__setattr__(self, "state_indices", idx)
-
-
 def far_field_discrete(table: SteeringVectorTable, gamma) -> PatternGrid:
     """F(phi) = sum_n gamma_n a_n(phi) on the table's grid."""
-    g = gamma.gamma if isinstance(gamma, ExcitationVector) else np.asarray(gamma, dtype=complex)
+    g = np.asarray(gamma, dtype=complex)
     if g.shape != (table.n_elements,):
         raise ValueError("gamma length must equal the number of elements")
     return PatternGrid(grid=table.grid, f=table.a @ g)
 
 
-def conjugate_phase_excitation(array: ElementArray, phi_o: float) -> ExcitationVector:
+def conjugate_phase_excitation(array: ElementArray, phi_o: float) -> np.ndarray:
     """Cophasal reference excitation: the GO reflection exp(-j Phi_r) at alpha_n."""
-    g = np.exp(-1j * phase_function(array.geom, phi_o, array.alphas))
-    return ExcitationVector(gamma=g, provenance="conjugate_phase")
+    return np.exp(-1j * phase_function(array.geom, phi_o, array.alphas))
 
 
 def reference_beamwidth(

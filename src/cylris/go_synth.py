@@ -26,7 +26,6 @@ from .patterns import PatternGrid
 
 __all__ = [
     "GoProfile",
-    "phase_function",
     "go_reflection",
     "go_impedance",
     "expansion_from_surface_field",

@@ -71,22 +71,23 @@ def read_pattern_csv(path):
     return data[:, 0], data[:, 1] + 1j * data[:, 2], data[:, 3]
 
 
-def write_impedance_csv(path, profile: ImpedanceProfile) -> None:
-    """Columns: phi_deg, re_Z_over_eta0, im_Z_over_eta0, pole_flag."""
-    lines = ["phi_deg,re_Z_over_eta0,im_Z_over_eta0,pole_flag"]
-    for phi, z, flag in zip(profile.grid.degrees, profile.z_over_eta0, profile.pole_mask):
+def _write_impedance_rows(path, profile, flags, flag_column: str) -> None:
+    """Columns: phi_deg, re_Z_over_eta0, im_Z_over_eta0, then `flag_column` (0/1)."""
+    lines = [f"phi_deg,re_Z_over_eta0,im_Z_over_eta0,{flag_column}"]
+    for phi, z, flag in zip(profile.grid.degrees, profile.z_over_eta0, flags):
         lines.append(f"{_fmt(phi)},{_fmt(z.real)},{_fmt(z.imag)},{int(flag)}")
     Path(path).parent.mkdir(parents=True, exist_ok=True)
     Path(path).write_text("\n".join(lines) + "\n")
+
+
+def write_impedance_csv(path, profile: ImpedanceProfile) -> None:
+    """Columns: phi_deg, re_Z_over_eta0, im_Z_over_eta0, pole_flag."""
+    _write_impedance_rows(path, profile, profile.pole_mask, "pole_flag")
 
 
 def write_go_impedance_csv(path, profile: GoProfile) -> None:
     """Columns: phi_deg, re_Z_over_eta0, im_Z_over_eta0, singular_flag."""
-    lines = ["phi_deg,re_Z_over_eta0,im_Z_over_eta0,singular_flag"]
-    for phi, z, flag in zip(profile.grid.degrees, profile.z_over_eta0, profile.singular_mask):
-        lines.append(f"{_fmt(phi)},{_fmt(z.real)},{_fmt(z.imag)},{int(flag)}")
-    Path(path).parent.mkdir(parents=True, exist_ok=True)
-    Path(path).write_text("\n".join(lines) + "\n")
+    _write_impedance_rows(path, profile, profile.singular_mask, "singular_flag")
 
 
 def write_metrics_json(path, metrics: PatternMetrics) -> None:
@@ -119,7 +120,6 @@ def write_state_sets_json(path, array, state_sets, metadata: dict | None = None)
 
 
 def write_result_json(path, result: SynthesisResult) -> None:
-    idx = result.gamma.state_indices
     payload = {
         "method": result.method,
         "objective": result.objective if math.isfinite(result.objective) else None,
@@ -128,12 +128,8 @@ def write_result_json(path, result: SynthesisResult) -> None:
         "evaluations": result.evaluations,
         "rng_seed": result.rng_seed,
         "gamma": [
-            {
-                "state_index": int(idx[n]) if idx is not None else None,
-                "re": float(g.real),
-                "im": float(g.imag),
-            }
-            for n, g in enumerate(result.gamma.gamma)
+            {"state_index": int(i), "re": float(g.real), "im": float(g.imag)}
+            for i, g in zip(result.state_indices, result.gamma)
         ],
     }
     write_json(path, payload)

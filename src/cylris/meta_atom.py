@@ -185,6 +185,6 @@ def state_set_for_element(table: StateTable, alpha_n: float) -> np.ndarray:
     return table.states_at(np.degrees(abs(alpha)))
 
 
-def state_sets_for_array(table: StateTable, array) -> list[np.ndarray]:
-    """Per-element state sets for every element of an array."""
-    return [state_set_for_element(table, a) for a in array.alphas]
+def state_sets_for_array(table: StateTable, array) -> np.ndarray:
+    """State sets of every element of an array: row n is element n's set, (N, L)."""
+    return np.array([state_set_for_element(table, a) for a in array.alphas])

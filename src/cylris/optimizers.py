@@ -6,7 +6,10 @@
   with nearest-state projection and a 1D search over the constraint phase,
 * spatial sampling plus quantization of the geometrical-optics solution.
 
-All optimizers score candidates with the same sidelobe objective: the ratio
+Every optimizer is called as fn(table, spec, states, **params): the steering
+table, the steering spec, the (N, L) array of per-element state sets, and
+keyword parameters named as the `method` config keys. ES, GA and GO score
+candidates with the same sidelobe objective on the table's grid: the ratio
 of the largest pattern magnitude inside the exclusion set to the global
 peak. Results are deterministic given the RNG seed; exhaustive-search
 chunks may be fanned out over processes without changing the outcome.
@@ -23,7 +26,6 @@ import numpy as np
 
 from .discrete_model import (
     ElementArray,
-    ExcitationVector,
     SteeringVectorTable,
     conjugate_phase_excitation,
     steering_vector_at,
@@ -34,7 +36,6 @@ from .geometry import SteeringSpec, exclusion_set_mask, wrap_angle
 __all__ = [
     "SigmaMatrices",
     "SynthesisResult",
-    "GaConfig",
     "build_sigma",
     "mpdr_relaxed",
     "project_to_states",
@@ -65,13 +66,15 @@ class SigmaMatrices:
 class SynthesisResult:
     """Outcome of one synthesis run.
 
-    objective_kind is "sll_ratio" (linear Linf ratio, used by ES/GA/GO) or
-    "sidelobe_power" (quadratic exclusion-set power, used by MPDR); the
-    value is always recomputable from gamma.
+    gamma is the chosen excitation (N,) and state_indices the state each
+    element takes. objective_kind is "sll_ratio" (linear Linf ratio, used by
+    ES/GA/GO) or "sidelobe_power" (quadratic exclusion-set power, used by
+    MPDR); the value is always recomputable from gamma.
     """
 
     method: str
-    gamma: ExcitationVector
+    gamma: np.ndarray
+    state_indices: np.ndarray
     objective: float
     objective_kind: str
     evaluations: int
@@ -144,7 +147,7 @@ def _solve_sigma(sigma: np.ndarray, rhs: np.ndarray) -> np.ndarray:
 
 def mpdr_relaxed(
     sig: SigmaMatrices, a_o: np.ndarray, rho: float = 1.0, psi: float = 0.0
-) -> ExcitationVector:
+) -> np.ndarray:
     """Closed-form relaxed minimizer of gamma^H Sigma gamma under
     a_o^T gamma = rho exp(j psi): gamma = lambda Sigma^-1 a_o* exp(j psi)
     with real lambda = rho / (a_o^T Sigma^-1 a_o*)."""
@@ -154,34 +157,29 @@ def mpdr_relaxed(
     if denom <= 0 or not np.isfinite(denom):
         raise NumericalError("degenerate steering vector: a_o^T Sigma^-1 a_o* <= 0")
     lam = rho / denom
-    return ExcitationVector(gamma=lam * x * np.exp(1j * psi), provenance="mpdr_relaxed")
+    return lam * x * np.exp(1j * psi)
 
 
-def project_to_states(
-    gamma, state_sets: list[np.ndarray]
-) -> ExcitationVector | tuple[np.ndarray, np.ndarray]:
+def project_to_states(gamma, states) -> tuple[np.ndarray, np.ndarray]:
     """Element-wise nearest-state quantization (Euclidean complex distance).
 
     The one projection kernel: `gamma` is one excitation (N,) or a batch
-    (..., N), and one broadcast argmin over (..., N, L) projects them all.
-    Ties break toward the lowest state index; the projection is idempotent.
-    Returns an ExcitationVector for one excitation, and the arrays
-    (values, state_indices), both shaped like `gamma`, for a batch.
+    (..., N), `states` the (N, L) state sets, and one broadcast argmin over
+    (..., N, L) projects them all. Ties break toward the lowest state index;
+    the projection is idempotent. Returns (values, state_indices), both
+    shaped like `gamma`.
     """
-    g = gamma.gamma if isinstance(gamma, ExcitationVector) else np.asarray(gamma, dtype=complex)
-    if g.shape[-1:] != (len(state_sets),):
+    g = np.asarray(gamma, dtype=complex)
+    states = np.asarray(states, dtype=complex)
+    if g.shape[-1:] != states.shape[:1]:
         raise ValueError("gamma length must equal the number of state sets")
-    states = np.vstack(state_sets)  # (N, L)
     idx = np.argmin(np.abs(states - g[..., None]), axis=-1)  # first (lowest) index on ties
-    values = states[np.arange(g.shape[-1]), idx]
-    if g.ndim > 1:
-        return values, idx
-    return ExcitationVector(gamma=values, provenance="projected", state_indices=idx)
+    return states[np.arange(g.shape[-1]), idx], idx
 
 
 def sll_objective(table: SteeringVectorTable, spec: SteeringSpec, gamma) -> float:
     """Sidelobe objective: max |F| over the exclusion set / global max |F|."""
-    g = gamma.gamma if isinstance(gamma, ExcitationVector) else np.asarray(gamma, dtype=complex)
+    g = np.asarray(gamma, dtype=complex)
     return float(_objective_batch((table.a @ g)[:, None], exclusion_set_mask(spec, table.grid))[0])
 
 
@@ -207,9 +205,8 @@ def _objective_batch(patterns: np.ndarray, excl: np.ndarray) -> np.ndarray:
 
 def mpdr_synthesize(
     table: SteeringVectorTable,
-    sig: SigmaMatrices,
     spec: SteeringSpec,
-    state_sets: list[np.ndarray],
+    states,
     psi_samples: int = 360,
     psi_refine: int = 0,
 ) -> SynthesisResult:
@@ -222,16 +219,17 @@ def mpdr_synthesize(
     Every psi of a scan is projected in one `project_to_states` broadcast;
     each candidate is then scored as g^H Sigma_S g in ascending psi, and the
     first minimum wins. Fully deterministic. Of `table`, only the array and
-    element pattern are read.
+    element pattern are read: Sigma and Sigma_S come from `build_sigma`.
     """
     if psi_samples < 1 or psi_refine < 0:
         raise ValueError(f"need psi_samples >= 1, psi_refine >= 0; got {psi_samples}, {psi_refine}")
+    sig = build_sigma(table, spec)
     # exact steering vector at phi_o, not a grid snap
     a_o = steering_vector_at(table.array, spec.phi_o, table.element_pattern)
     x = _solve_sigma(sig.sigma, a_o.conj())
 
     def scan(psis: np.ndarray) -> tuple:
-        values, idx = project_to_states(x[None, :] * np.exp(1j * psis)[:, None], state_sets)
+        values, idx = project_to_states(x[None, :] * np.exp(1j * psis)[:, None], states)
         scores = [float((g.conj() @ (sig.sigma_s @ g)).real) for g in values]
         k = int(np.argmin(scores))  # the first (lowest-psi) minimum
         return scores[k], values[k], idx[k], float(psis[k])
@@ -245,7 +243,8 @@ def mpdr_synthesize(
     score, values, idx, _ = best
     return SynthesisResult(
         method="mpdr",
-        gamma=ExcitationVector(gamma=values, provenance="mpdr", state_indices=idx),
+        gamma=values,
+        state_indices=idx,
         objective=score,
         objective_kind="sidelobe_power",
         evaluations=psi_samples + psi_refine,
@@ -285,7 +284,7 @@ def _lex_tuples(digits: list) -> np.ndarray:
     return np.array(list(itertools.product(*digits)), dtype=np.int64, ndmin=2)
 
 
-def _negation_representatives(state_sets: list[np.ndarray]) -> list[int]:
+def _negation_representatives(states: np.ndarray) -> list[int]:
     """Element-0 state indices the search must visit.
 
     When every state set is closed under exact negation, gamma and -gamma
@@ -293,8 +292,8 @@ def _negation_representatives(state_sets: list[np.ndarray]) -> list[int]:
     has the smaller element-0 index. So an element-0 state whose negation
     sits at a lower index never wins, and is skipped.
     """
-    s0 = state_sets[0]
-    if not all(np.isin(-s, s).all() for s in state_sets):
+    s0 = states[0]
+    if not all(np.isin(-s, s).all() for s in states):
         return list(range(len(s0)))
     return [i for i in range(len(s0)) if not np.any(s0[:i] == -s0[i])]
 
@@ -302,7 +301,7 @@ def _negation_representatives(state_sets: list[np.ndarray]) -> list[int]:
 def exhaustive_search(
     table: SteeringVectorTable,
     spec: SteeringSpec,
-    state_sets: list[np.ndarray],
+    states,
     budget: int = DEFAULT_ES_BUDGET,
     workers: int = 1,
     batch: int = 1024,
@@ -322,23 +321,20 @@ def exhaustive_search(
     """
     if workers < 1 or batch < 1:
         raise ValueError(f"workers and batch must be >= 1, got {workers} and {batch}")
-    n_el = table.n_elements
-    n_states = len(state_sets[0])
-    if any(len(s) != n_states for s in state_sets):
-        raise ValueError("all elements must have the same number of states")
+    states = np.asarray(states, dtype=complex)
+    n_el, n_states = table.n_elements, states.shape[1]
     total = n_states**n_el
     if total > budget:
         raise BudgetExceededError(
             f"exhaustive search needs {total} evaluations, budget is {budget}; "
             "raise the budget or use the ga/mpdr/go_q methods"
         )
-    states = np.vstack(state_sets)
     n_lo = 0
     while n_lo < n_el - 1 and n_states ** (n_lo + 1) <= batch:
         n_lo += 1
     n_hi = n_el - n_lo
     hi_idx = _lex_tuples(
-        [_negation_representatives(state_sets)] + [range(n_states)] * (n_hi - 1)
+        [_negation_representatives(states)] + [range(n_states)] * (n_hi - 1)
     )
     lo_idx = _lex_tuples([range(n_states)] * n_lo)
     a = table.a
@@ -364,12 +360,11 @@ def exhaustive_search(
         if val < best_val:
             best_val, best_h, best_lo = val, h, lo
     idx = np.concatenate([hi_idx[best_h], lo_idx[best_lo]])
-    gamma = ExcitationVector(
-        gamma=states[np.arange(n_el), idx], provenance="es", state_indices=idx
-    )
+    gamma = states[np.arange(n_el), idx]
     return SynthesisResult(
         method="es",
         gamma=gamma,
+        state_indices=idx,
         objective=sll_objective(table, spec, gamma),
         objective_kind="sll_ratio",
         evaluations=total,
@@ -377,23 +372,6 @@ def exhaustive_search(
 
 
 # --- genetic algorithm -------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class GaConfig:
-    """GA hyperparameters; the defaults are the full-scale settings."""
-
-    population: int = 1000
-    generations: int = 200
-    p_crossover: float = 0.9
-    p_mutation: float = 0.05
-
-    def __post_init__(self):
-        if self.population < 2 or self.generations < 0:
-            raise ValueError("population must be >= 2 and generations >= 0")
-        for p in (self.p_crossover, self.p_mutation):
-            if not 0.0 <= p <= 1.0:
-                raise ValueError("probabilities must lie in [0, 1]")
 
 
 def _crossover(children: np.ndarray, do_cross: np.ndarray, masks: np.ndarray) -> None:
@@ -408,8 +386,11 @@ def _crossover(children: np.ndarray, do_cross: np.ndarray, masks: np.ndarray) ->
 def ga_synthesize(
     table: SteeringVectorTable,
     spec: SteeringSpec,
-    state_sets: list[np.ndarray],
-    config: GaConfig | None = None,
+    states,
+    population: int = 1000,
+    generations: int = 200,
+    p_crossover: float = 0.9,
+    p_mutation: float = 0.05,
     seed: int = 0,
 ) -> SynthesisResult:
     """Integer-chromosome GA for the sidelobe ratio (one gene per element).
@@ -418,40 +399,42 @@ def ga_synthesize(
     to a different random state, elitism of one. A single seeded generator
     drives every draw, so identical seeds give identical results.
     `history` holds the best objective of the initial population and after
-    each generation (generations + 1 values).
+    each generation (generations + 1 values). The defaults are the
+    full-scale settings.
     """
-    cfg = config or GaConfig()
-    n_el = table.n_elements
-    n_states = len(state_sets[0])
-    if any(len(s) != n_states for s in state_sets):
-        raise ValueError("all elements must have the same number of states")
-    states_matrix = np.vstack(state_sets)
+    if population < 2 or generations < 0:
+        raise ValueError("population must be >= 2 and generations >= 0")
+    for p in (p_crossover, p_mutation):
+        if not 0.0 <= p <= 1.0:
+            raise ValueError("probabilities must lie in [0, 1]")
+    states = np.asarray(states, dtype=complex)
+    n_el, n_states = table.n_elements, states.shape[1]
     cols = np.arange(n_el)
     excl = exclusion_set_mask(spec, table.grid)
     rng = np.random.default_rng(seed)
 
     def evaluate(pop_idx: np.ndarray) -> np.ndarray:
-        gammas = states_matrix[cols[None, :], pop_idx].T
+        gammas = states[cols[None, :], pop_idx].T
         return _objective_batch(table.a @ gammas, excl)
 
-    pop = rng.integers(0, n_states, size=(cfg.population, n_el))
+    pop = rng.integers(0, n_states, size=(population, n_el))
     fit = evaluate(pop)
-    evaluations = cfg.population
+    evaluations = population
     i_best = int(np.argmin(fit))
     best_fit, best_chrom = float(fit[i_best]), pop[i_best].copy()
     history = [best_fit]
 
-    n_children = cfg.population - 1  # the elite fills the remaining slot
+    n_children = population - 1  # the elite fills the remaining slot
     n_pairs = n_children // 2
-    for _ in range(cfg.generations):
-        cand = rng.integers(0, cfg.population, size=(n_children, 2))
+    for _ in range(generations):
+        cand = rng.integers(0, population, size=(n_children, 2))
         winners = np.where(fit[cand[:, 0]] <= fit[cand[:, 1]], cand[:, 0], cand[:, 1])
         children = pop[winners].copy()
-        do_cross = rng.random(n_pairs) < cfg.p_crossover
+        do_cross = rng.random(n_pairs) < p_crossover
         masks = rng.random((n_pairs, n_el)) < 0.5
         _crossover(children, do_cross, masks)
         if n_states > 1:
-            mutate = rng.random((n_children, n_el)) < cfg.p_mutation
+            mutate = rng.random((n_children, n_el)) < p_mutation
             draws = rng.integers(0, n_states - 1, size=(n_children, n_el))
             mutated = draws + (draws >= children)  # uniform over the other states
             children = np.where(mutate, mutated, children)
@@ -464,14 +447,10 @@ def ga_synthesize(
             best_fit, best_chrom = float(fit[i]), pop[i].copy()
         history.append(best_fit)
 
-    gamma = ExcitationVector(
-        gamma=states_matrix[cols, best_chrom],
-        provenance="ga",
-        state_indices=best_chrom,
-    )
     return SynthesisResult(
         method="ga",
-        gamma=gamma,
+        gamma=states[cols, best_chrom],
+        state_indices=best_chrom,
         objective=best_fit,
         objective_kind="sll_ratio",
         evaluations=evaluations,
@@ -480,20 +459,18 @@ def ga_synthesize(
     )
 
 
-def go_quantized(
-    table: SteeringVectorTable, spec: SteeringSpec, state_sets: list[np.ndarray]
-) -> SynthesisResult:
+def go_quantized(table: SteeringVectorTable, spec: SteeringSpec, states) -> SynthesisResult:
     """Sample the geometrical-optics reflection at the element positions and
     quantize to the nearest available states. Closed form, deterministic.
 
     The GO reflection exp(-j Phi_r(alpha_n)) is the cophasal excitation
     pointed at spec.phi_o; the sidelobe objective is scored on `table`.
     """
-    proj = project_to_states(conjugate_phase_excitation(table.array, spec.phi_o), state_sets)
-    gamma = ExcitationVector(gamma=proj.gamma, provenance="go_q", state_indices=proj.state_indices)
+    gamma, idx = project_to_states(conjugate_phase_excitation(table.array, spec.phi_o), states)
     return SynthesisResult(
         method="go_q",
         gamma=gamma,
+        state_indices=idx,
         objective=sll_objective(table, spec, gamma),
         objective_kind="sll_ratio",
         evaluations=1,

@@ -138,39 +138,27 @@ def _run_continuous(
     return pattern, m, None
 
 
+# method name -> optimizer. Looked up on the module at call time, so a
+# wrapper bound to `optimizers.<name>` sees every call.
+_OPTIMIZERS = {
+    "es": "exhaustive_search",
+    "ga": "ga_synthesize",
+    "mpdr": "mpdr_synthesize",
+    "go_q": "go_quantized",
+}
+
+
 def _run_discrete(
     cfg: RunConfig, ctx: _ArrayContext, method: str, phi_o: float, spec: SteeringSpec, outdir: Path
 ):
     if method != "mpdr":  # mpdr scores on no grid
         _require_window_sample(spec, cfg.objective_grid_points, "objective_grid_points")
-    array = ctx.array
     state_table = _state_table(cfg)
-    state_sets = meta_atom.state_sets_for_array(state_table, array)
-    io.write_state_sets_json(outdir / "states.json", array, state_sets, state_table.metadata)
-    params = cfg.method_params
-    if method == "es":
-        result = optimizers.exhaustive_search(
-            ctx.table(cfg.objective_grid_points), spec, state_sets,
-            budget=params["budget"], workers=params["workers"],
-        )
-    elif method == "ga":
-        ga_cfg = optimizers.GaConfig(
-            population=params["population"], generations=params["generations"],
-            p_crossover=params["p_crossover"], p_mutation=params["p_mutation"],
-        )
-        result = optimizers.ga_synthesize(
-            ctx.table(cfg.objective_grid_points), spec, state_sets, config=ga_cfg, seed=params["seed"]
-        )
-    elif method == "mpdr":
-        table = ctx.table(cfg.grid_points)  # read for its array only
-        result = optimizers.mpdr_synthesize(
-            table, optimizers.build_sigma(table, spec), spec, state_sets,
-            psi_samples=params["psi_samples"], psi_refine=params["psi_refine"],
-        )
-    elif method == "go_q":
-        result = optimizers.go_quantized(ctx.table(cfg.objective_grid_points), spec, state_sets)
-    else:  # pragma: no cover - guarded by config validation
-        raise ConfigError(f"unknown discrete method {method}")
+    states = meta_atom.state_sets_for_array(state_table, ctx.array)
+    io.write_state_sets_json(outdir / "states.json", ctx.array, states, state_table.metadata)
+    synthesize = getattr(optimizers, _OPTIMIZERS[method])
+    table = ctx.table(cfg.objective_grid_points)
+    result = synthesize(table, spec, states, **cfg.params_for(method))
     pattern = far_field_discrete(ctx.table(cfg.grid_points), result.gamma)
     m = pattern_metrics(pattern, spec)
     io.write_pattern_csv(outdir / "pattern.csv", pattern)

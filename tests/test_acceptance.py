@@ -14,7 +14,6 @@ import yaml
 from cylris import (
     AngularGrid,
     CylinderGeometry,
-    GaConfig,
     SteeringSpec,
     boundary_residual,
     build_array,
@@ -183,11 +182,11 @@ def test_criterion_4_mpdr_contract(full_scale):
         psi = rng.uniform(-np.pi, np.pi)
         rho = rng.uniform(0.2, 3.0)
         a_o = steering_vector_at(array, phi_o)
-        g = mpdr_relaxed(sig, a_o, rho=rho, psi=psi).gamma
+        g = mpdr_relaxed(sig, a_o, rho=rho, psi=psi)
         resid_worst = max(resid_worst, float(abs(a_o @ g - rho * np.exp(1j * psi)) / rho))
 
     a_o = steering_vector_at(array, spec.phi_o)
-    g_opt = mpdr_relaxed(sig, a_o).gamma
+    g_opt = mpdr_relaxed(sig, a_o)
     p_opt = float((g_opt.conj() @ sig.sigma @ g_opt).real)
     beats_all = True
     norm = a_o @ a_o.conj()
@@ -198,7 +197,7 @@ def test_criterion_4_mpdr_contract(full_scale):
 
     states = state_sets_for_array(ideal_one_bit("constant"), array)
     t0 = time.perf_counter()
-    mpdr_synthesize(table, sig, spec, states)
+    mpdr_synthesize(table, spec, states)
     elapsed = time.perf_counter() - t0
 
     ok = resid_worst < 1e-9 and beats_all and herm < 1e-12 and min_eig >= psd_floor and elapsed < 1.0
@@ -219,21 +218,21 @@ def test_criterion_5_small_instance_oracles(toy):
     es = exhaustive_search(toy["table"], toy["spec"], toy["states"])
     excl = exclusion_set_mask(toy["spec"], toy["table"].grid)
     ref_val, ref_idx = brute_force_search(toy["table"].a, excl, toy["states"])
-    es_matches = tuple(es.gamma.state_indices) == ref_idx and es.objective == pytest.approx(
+    es_matches = tuple(es.state_indices) == ref_idx and es.objective == pytest.approx(
         ref_val, rel=1e-12
     )
 
-    cfg = GaConfig(population=100, generations=50)
     hits = 0
     floor_ok = True
     for seed in range(100):
-        ga = ga_synthesize(toy["table"], toy["spec"], toy["states"], cfg, seed=seed)
+        ga = ga_synthesize(
+            toy["table"], toy["spec"], toy["states"], population=100, generations=50, seed=seed
+        )
         floor_ok &= ga.objective >= es.objective - 1e-12
         if 20 * np.log10(ga.objective / es.objective) <= 0.5:
             hits += 1
 
-    sig = build_sigma(toy["table"], toy["spec"])
-    mpdr = mpdr_synthesize(toy["table"], sig, toy["spec"], toy["states"])
+    mpdr = mpdr_synthesize(toy["table"], toy["spec"], toy["states"])
     goq = go_quantized(toy["table"], toy["spec"], toy["states"])
     above_floor = (
         sll_objective(toy["table"], toy["spec"], mpdr.gamma) >= es.objective - 1e-12
@@ -265,10 +264,9 @@ def test_criterion_6_full_scale_trends(full_scale):
     rows: dict[float, dict[str, tuple]] = {}
     for deg in SWEEP_DEG:
         spec = SteeringSpec(phi_o=np.radians(deg), delta_phi=window)
-        sig = build_sigma(t_fine, spec)
         results = {
-            "ga": ga_synthesize(t_obj, spec, states, GaConfig(), seed=0),
-            "mpdr": mpdr_synthesize(t_fine, sig, spec, states),
+            "ga": ga_synthesize(t_obj, spec, states, seed=0),
+            "mpdr": mpdr_synthesize(t_fine, spec, states),
             "go_q": go_quantized(t_obj, spec, states),
         }
         rows[deg] = {}

@@ -1,4 +1,6 @@
 import json
+import os
+import resource
 import subprocess
 import sys
 from pathlib import Path
@@ -522,6 +524,29 @@ class TestSweepAndCompare:
         assert len(contexts) == 15 and all(c is contexts[0] for c in contexts)
         assert not contexts[0]._kept  # emptied when the sweep returns
 
+    def test_sweep_calls_each_optimizer_through_its_module_attribute(self, tmp_path, monkeypatch):
+        """A wrapper bound to `optimizers.<name>` sees every case of its method."""
+        from cylris.pipeline import run_sweep
+
+        names = ("exhaustive_search", "ga_synthesize", "mpdr_synthesize", "go_quantized")
+        angles = [12.0, 31.0, 47.0]
+        raw = toy_config(tmp_path / "sweep", method=["es", "ga", "mpdr", "go_q"])
+        raw["steering"]["phi_o_deg"] = angles
+        raw["method"].update(population=20, generations=2)
+        calls = dict.fromkeys(names, 0)
+
+        def counting(name, fn):
+            def counted(*args, **kwargs):
+                calls[name] += 1
+                return fn(*args, **kwargs)
+
+            return counted
+
+        for name in names:
+            monkeypatch.setattr(optimizers, name, counting(name, getattr(optimizers, name)))
+        run_sweep(parse_config(raw))
+        assert calls == dict.fromkeys(names, len(angles))
+
     def test_compare_merges_prior_runs(self, tmp_path):
         d1, d2 = tmp_path / "m", tmp_path / "g"
         p1 = write_config(tmp_path, toy_config(d1, method="mpdr"), "c1.yaml")
@@ -654,6 +679,39 @@ def test_cos2_element_pattern_through_pipeline(tmp_path):
     assert run_cli(["synth", "-c", str(path)]) == 0
     manifest = json.loads((out / "manifest.json").read_text())
     assert manifest["config"]["array"]["element_pattern"] == "cos2"
+
+
+def _limit_address_space():
+    """Cap the child's address space at 2 GiB (runs in the child only)."""
+    resource.setrlimit(resource.RLIMIT_AS, (2 << 30, 2 << 30))
+
+
+OUT_OF_MEMORY = {
+    "grid_points_1e12": lambda tmp: [
+        "-c", str(REPO / "configs" / "toy_es.yaml"), "--grid-points", "1000000000000"
+    ],
+    "mpdr_radius_30000m": lambda tmp: [
+        "-c",
+        str(write_config(tmp, toy_config(tmp / "run", geometry={"radius_m": 30000.0}))),
+    ],
+}
+
+
+@pytest.mark.parametrize("name", OUT_OF_MEMORY)
+def test_out_of_memory_exits_3_with_one_json_line(tmp_path, name):
+    """A size that does not fit in memory ends at the resource guard, not in a traceback."""
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1")
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(REPO / "src"), env.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-m", "cylris.cli", "synth", *OUT_OF_MEMORY[name](tmp_path),
+         "-o", str(tmp_path / "run")],
+        capture_output=True, text=True, env=env, preexec_fn=_limit_address_space, timeout=120,
+    )
+    assert proc.returncode == 3, proc.stderr
+    assert "Traceback" not in proc.stderr
+    lines = proc.stderr.strip().splitlines()
+    assert len(lines) == 1
+    assert json.loads(lines[0])["code"] == 3
 
 
 def test_es_budget_override(tmp_path):

@@ -3,7 +3,6 @@ import pytest
 
 from cylris import (
     AngularGrid,
-    ExcitationVector,
     SteeringSpec,
     build_array,
     conjugate_phase_excitation,
@@ -178,7 +177,7 @@ class TestGridRobustness:
         for deg in (15.0, 45.0, 75.0):
             spec = SteeringSpec(phi_o=np.radians(deg), delta_phi=spec_window)
             excitations = [
-                conjugate_phase_excitation(array30, spec.phi_o).gamma,
+                conjugate_phase_excitation(array30, spec.phi_o),
                 np.where(rng.random(30) < 0.5, 1.0, -1.0).astype(complex),
             ]
             for g in excitations:
@@ -200,10 +199,3 @@ class TestGridRobustness:
             lhs = float((g.conj() @ (sig.sigma @ g)).real)
             rhs = trapezoid_power(table.a @ g, grid.spacing)
             assert abs(lhs - rhs) <= 1e-6 * rhs
-
-
-def test_excitation_vector_validation():
-    with pytest.raises(ValueError):
-        ExcitationVector(gamma=np.ones((2, 2)))
-    with pytest.raises(ValueError):
-        ExcitationVector(gamma=np.ones(3), state_indices=np.zeros(2, dtype=int))

@@ -5,7 +5,6 @@ from cylris import (
     AngularGrid,
     BudgetExceededError,
     CylinderGeometry,
-    GaConfig,
     StateTable,
     SteeringSpec,
     build_array,
@@ -139,7 +138,7 @@ class TestMpdrRelaxed:
             psi = rng.uniform(-np.pi, np.pi)
             rho = rng.uniform(0.2, 3.0)
             a_o = steering_vector_at(array30, phi_o)
-            g = mpdr_relaxed(sig, a_o, rho=rho, psi=psi).gamma
+            g = mpdr_relaxed(sig, a_o, rho=rho, psi=psi)
             resid = abs(a_o @ g - rho * np.exp(1j * psi)) / rho
             assert resid < 1e-9
 
@@ -148,7 +147,7 @@ class TestMpdrRelaxed:
         rng = np.random.default_rng(13)
         phi_o = np.radians(30.0)
         a_o = steering_vector_at(array30, phi_o)
-        g = mpdr_relaxed(sig, a_o, rho=1.0, psi=0.3).gamma
+        g = mpdr_relaxed(sig, a_o, rho=1.0, psi=0.3)
         p_opt = float((g.conj() @ (sig.sigma @ g)).real)
         target = a_o @ g
         norm = a_o @ a_o.conj()
@@ -162,8 +161,8 @@ class TestMpdrRelaxed:
     def test_psi_shift_rotates_solution(self, array30, sigma30):
         _, _, sig = sigma30
         a_o = steering_vector_at(array30, np.radians(30.0))
-        g1 = mpdr_relaxed(sig, a_o, psi=0.2).gamma
-        g2 = mpdr_relaxed(sig, a_o, psi=0.2 + 0.77).gamma
+        g1 = mpdr_relaxed(sig, a_o, psi=0.2)
+        g2 = mpdr_relaxed(sig, a_o, psi=0.2 + 0.77)
         assert np.abs(g2 - g1 * np.exp(1j * 0.77)).max() < 1e-12 * np.abs(g1).max()
 
 
@@ -171,22 +170,22 @@ class TestProjectToStates:
     def test_nearest_state_wins(self):
         states = [np.array([1.0 + 0j, -1.0 + 0j])]
         g = 0.9 * np.exp(1j * np.radians(170.0))
-        out = project_to_states(np.array([g]), states)
-        assert out.gamma[0] == -1.0 + 0j
-        assert out.state_indices[0] == 1
+        values, idx = project_to_states(np.array([g]), states)
+        assert values[0] == -1.0 + 0j
+        assert idx[0] == 1
 
     def test_exact_tie_takes_lowest_index(self):
         states = [np.array([1.0 + 0j, -1.0 + 0j])]
-        out = project_to_states(np.array([0.0 + 0j]), states)
-        assert out.state_indices[0] == 0
+        _, idx = project_to_states(np.array([0.0 + 0j]), states)
+        assert idx[0] == 0
 
     def test_idempotent(self, toy):
         rng = np.random.default_rng(23)
         g = rng.standard_normal(8) + 1j * rng.standard_normal(8)
-        once = project_to_states(g, toy["states"])
-        twice = project_to_states(once, toy["states"])
-        assert np.array_equal(once.gamma, twice.gamma)
-        assert np.array_equal(once.state_indices, twice.state_indices)
+        once, once_idx = project_to_states(g, toy["states"])
+        twice, twice_idx = project_to_states(once, toy["states"])
+        assert np.array_equal(once, twice)
+        assert np.array_equal(once_idx, twice_idx)
 
 
     @pytest.mark.parametrize("taper", ["constant", "cosine"])
@@ -200,8 +199,8 @@ class TestProjectToStates:
         for row, v, i in zip(batch, values, idx):
             ref_v, ref_i = nearest_state_loop(row, states)
             assert np.array_equal(i, ref_i) and np.array_equal(v, ref_v)
-        single = project_to_states(batch[3], states)
-        assert np.array_equal(single.state_indices, idx[3])
+        _, single_idx = project_to_states(batch[3], states)
+        assert np.array_equal(single_idx, idx[3])
 
 
 class TestMpdrSynthesize:
@@ -214,7 +213,7 @@ class TestMpdrSynthesize:
         """
         table, sig = toy_sigma
         res = mpdr_synthesize(
-            table, sig, toy["spec"], toy["states"], psi_samples=psi_samples, psi_refine=psi_refine
+            table, toy["spec"], toy["states"], psi_samples=psi_samples, psi_refine=psi_refine
         )
         a_o = steering_vector_at(toy["array"], toy["spec"].phi_o)
         x = optimizers._solve_sigma(sig.sigma, a_o.conj())
@@ -222,34 +221,34 @@ class TestMpdrSynthesize:
             x, sig.sigma_s, toy["states"], psi_samples, psi_refine
         )
         assert res.objective == objective
-        assert np.array_equal(res.gamma.state_indices, idx)
+        assert np.array_equal(res.state_indices, idx)
         assert res.evaluations == evaluations
 
     def test_full_scale_scan_matches_oracle(self, array30, sigma30):
         table, spec, sig = sigma30
         states = state_sets_for_array(ideal_one_bit("cosine"), array30)
-        res = mpdr_synthesize(table, sig, spec, states, psi_refine=5)
+        res = mpdr_synthesize(table, spec, states, psi_refine=5)
         x = optimizers._solve_sigma(sig.sigma, steering_vector_at(array30, spec.phi_o).conj())
         objective, idx, _, _ = mpdr_scan_loop(x, sig.sigma_s, states, 360, 5)
         assert res.objective == objective
-        assert np.array_equal(res.gamma.state_indices, idx)
+        assert np.array_equal(res.state_indices, idx)
 
     def test_psi_period_for_symmetric_one_bit(self, toy, toy_sigma):
         _, sig = toy_sigma
         a_o = steering_vector_at(toy["array"], toy["spec"].phi_o)
         x = np.linalg.solve(sig.sigma, a_o.conj())
         for psi in (-2.0, 0.3, 1.1):
-            p1 = project_to_states(x * np.exp(1j * psi), toy["states"])
-            p2 = project_to_states(x * np.exp(1j * (psi + np.pi)), toy["states"])
-            assert np.array_equal(p2.gamma, -p1.gamma)
-            s1 = (p1.gamma.conj() @ sig.sigma_s @ p1.gamma).real
-            s2 = (p2.gamma.conj() @ sig.sigma_s @ p2.gamma).real
+            p1, _ = project_to_states(x * np.exp(1j * psi), toy["states"])
+            p2, _ = project_to_states(x * np.exp(1j * (psi + np.pi)), toy["states"])
+            assert np.array_equal(p2, -p1)
+            s1 = (p1.conj() @ sig.sigma_s @ p1).real
+            s2 = (p2.conj() @ sig.sigma_s @ p2).real
             assert s1 == pytest.approx(s2, rel=1e-12)
 
     def test_objective_recomputable_from_gamma(self, toy, toy_sigma):
         table, sig = toy_sigma
-        res = mpdr_synthesize(table, sig, toy["spec"], toy["states"])
-        g = res.gamma.gamma
+        res = mpdr_synthesize(table, toy["spec"], toy["states"])
+        g = res.gamma
         recomputed = float((g.conj() @ (sig.sigma_s @ g)).real)
         assert recomputed == pytest.approx(res.objective, rel=1e-12)
         direct = exclusion_arc_power(toy["array"], toy["spec"], g)
@@ -257,14 +256,14 @@ class TestMpdrSynthesize:
 
     def test_deterministic(self, toy, toy_sigma):
         table, sig = toy_sigma
-        r1 = mpdr_synthesize(table, sig, toy["spec"], toy["states"])
-        r2 = mpdr_synthesize(table, sig, toy["spec"], toy["states"])
-        assert np.array_equal(r1.gamma.gamma, r2.gamma.gamma)
+        r1 = mpdr_synthesize(table, toy["spec"], toy["states"])
+        r2 = mpdr_synthesize(table, toy["spec"], toy["states"])
+        assert np.array_equal(r1.gamma, r2.gamma)
         assert r1.objective == r2.objective
 
     def test_never_beats_exhaustive_floor(self, toy, toy_sigma):
         table, sig = toy_sigma
-        res = mpdr_synthesize(table, sig, toy["spec"], toy["states"])
+        res = mpdr_synthesize(table, toy["spec"], toy["states"])
         es = exhaustive_search(toy["table"], toy["spec"], toy["states"])
         mpdr_ratio = sll_objective(toy["table"], toy["spec"], res.gamma)
         assert mpdr_ratio >= es.objective - 1e-12
@@ -274,15 +273,15 @@ class TestMpdrSynthesize:
         table, sig = toy_sigma
         with pytest.raises(ValueError, match="psi_samples"):
             mpdr_synthesize(
-                table, sig, toy["spec"], toy["states"],
+                table, toy["spec"], toy["states"],
                 psi_samples=psi_samples, psi_refine=psi_refine,
             )
 
     def test_refinement_never_worsens_score(self, toy, toy_sigma):
         table, sig = toy_sigma
-        coarse = mpdr_synthesize(table, sig, toy["spec"], toy["states"], psi_samples=36)
+        coarse = mpdr_synthesize(table, toy["spec"], toy["states"], psi_samples=36)
         refined = mpdr_synthesize(
-            table, sig, toy["spec"], toy["states"], psi_samples=36, psi_refine=19
+            table, toy["spec"], toy["states"], psi_samples=36, psi_refine=19
         )
         assert refined.objective <= coarse.objective
         assert refined.evaluations == coarse.evaluations + 19
@@ -332,7 +331,7 @@ class TestExhaustiveSearch:
         res = exhaustive_search(toy["table"], toy["spec"], toy["states"])
         excl = exclusion_set_mask(toy["spec"], toy["table"].grid)
         ref_val, ref_idx = brute_force_search(toy["table"].a, excl, toy["states"])
-        assert tuple(res.gamma.state_indices) == ref_idx
+        assert tuple(res.state_indices) == ref_idx
         assert res.objective == pytest.approx(ref_val, rel=1e-12)
 
     def test_budget_guard_refuses_full_scale(self, array30, obj_grid):
@@ -351,7 +350,7 @@ class TestExhaustiveSearch:
         for batch in (1, 2, 37, 1024):
             for workers in (1, 2):
                 res = exhaustive_search(table, spec, states, workers=workers, batch=batch)
-                assert tuple(res.gamma.state_indices) == ref_idx, (batch, workers)
+                assert tuple(res.state_indices) == ref_idx, (batch, workers)
                 assert res.objective == sll_objective(table, spec, res.gamma)
                 assert res.evaluations == len(states[0]) ** len(states)
 
@@ -390,7 +389,7 @@ class TestExhaustiveSearch:
         serial = exhaustive_search(*args, batch=2)
         for workers in (1000, 3):  # batch 2: 64 high tuples (element 0 halved)
             res = exhaustive_search(*args, workers=workers, batch=2)
-            assert np.array_equal(res.gamma.state_indices, serial.gamma.state_indices)
+            assert np.array_equal(res.state_indices, serial.state_indices)
         exhaustive_search(*args, workers=8)  # batch 1024: a single task, no pool
         assert seen == [64, 3]
         assert optimizers._ES_CTX == {}
@@ -415,38 +414,38 @@ class TestExhaustiveSearch:
     def test_parallel_matches_serial(self, toy):
         serial = exhaustive_search(toy["table"], toy["spec"], toy["states"], workers=1)
         parallel = exhaustive_search(toy["table"], toy["spec"], toy["states"], workers=2, batch=37)
-        assert np.array_equal(serial.gamma.state_indices, parallel.gamma.state_indices)
+        assert np.array_equal(serial.state_indices, parallel.state_indices)
         assert serial.objective == parallel.objective
 
 
 class TestGa:
     def test_seeded_determinism(self, toy):
-        cfg = GaConfig(population=40, generations=12)
-        r1 = ga_synthesize(toy["table"], toy["spec"], toy["states"], cfg, seed=99)
-        r2 = ga_synthesize(toy["table"], toy["spec"], toy["states"], cfg, seed=99)
-        assert np.array_equal(r1.gamma.gamma, r2.gamma.gamma)
-        assert np.array_equal(r1.gamma.state_indices, r2.gamma.state_indices)
+        cfg = dict(population=40, generations=12)
+        r1 = ga_synthesize(toy["table"], toy["spec"], toy["states"], **cfg, seed=99)
+        r2 = ga_synthesize(toy["table"], toy["spec"], toy["states"], **cfg, seed=99)
+        assert np.array_equal(r1.gamma, r2.gamma)
+        assert np.array_equal(r1.state_indices, r2.state_indices)
         assert r1.objective == r2.objective
 
     def test_evaluation_count_contract(self, toy):
-        cfg = GaConfig(population=30, generations=7)
-        res = ga_synthesize(toy["table"], toy["spec"], toy["states"], cfg, seed=1)
+        cfg = dict(population=30, generations=7)
+        res = ga_synthesize(toy["table"], toy["spec"], toy["states"], **cfg, seed=1)
         assert res.evaluations == 30 + 7 * 29
         assert res.evaluations <= 30 * (7 + 1)
 
     def test_selection_only_monotone_elite(self, toy):
-        cfg = GaConfig(population=30, generations=15, p_crossover=0.0, p_mutation=0.0)
-        res = ga_synthesize(toy["table"], toy["spec"], toy["states"], cfg, seed=4)
+        cfg = dict(population=30, generations=15, p_crossover=0.0, p_mutation=0.0)
+        res = ga_synthesize(toy["table"], toy["spec"], toy["states"], **cfg, seed=4)
         hist = np.array(res.history)
-        assert hist.size == cfg.generations + 1
+        assert hist.size == cfg["generations"] + 1
         assert np.all(np.diff(hist) <= 0)
 
     def test_close_to_exhaustive_on_toy(self, toy):
         es = exhaustive_search(toy["table"], toy["spec"], toy["states"])
-        cfg = GaConfig(population=100, generations=50)
+        cfg = dict(population=100, generations=50)
         hits = 0
         for seed in range(20):
-            ga = ga_synthesize(toy["table"], toy["spec"], toy["states"], cfg, seed=seed)
+            ga = ga_synthesize(toy["table"], toy["spec"], toy["states"], **cfg, seed=seed)
             assert ga.objective >= es.objective - 1e-12
             if 20 * np.log10(ga.objective / es.objective) <= 0.5:
                 hits += 1
@@ -465,21 +464,21 @@ class TestGa:
 
     @pytest.mark.parametrize("population", [41, 60])
     def test_seeded_run_matches_crossover_oracle(self, toy, monkeypatch, population):
-        cfg = GaConfig(population=population, generations=25)
+        cfg = dict(population=population, generations=25)
 
         def run():
-            return ga_synthesize(toy["table"], toy["spec"], toy["states"], cfg, seed=7)
+            return ga_synthesize(toy["table"], toy["spec"], toy["states"], **cfg, seed=7)
 
         fast = run()
         monkeypatch.setattr(optimizers, "_crossover", crossover_loop)
         slow = run()
-        assert np.array_equal(fast.gamma.state_indices, slow.gamma.state_indices)
+        assert np.array_equal(fast.state_indices, slow.state_indices)
         assert fast.history == slow.history
         assert fast.objective == slow.objective
 
     def test_objective_recomputable(self, toy):
-        cfg = GaConfig(population=40, generations=10)
-        res = ga_synthesize(toy["table"], toy["spec"], toy["states"], cfg, seed=2)
+        cfg = dict(population=40, generations=10)
+        res = ga_synthesize(toy["table"], toy["spec"], toy["states"], **cfg, seed=2)
         assert sll_objective(toy["table"], toy["spec"], res.gamma) == pytest.approx(
             res.objective, rel=1e-12
         )
@@ -490,7 +489,7 @@ class TestGoQuantized:
         res = go_quantized(toy["table"], toy["spec"], toy["states"])
         phase = phase_function(toy["geom"], toy["spec"].phi_o, toy["array"].alphas)
         expected = np.where(np.cos(phase) >= 0, 1.0, -1.0)
-        assert np.array_equal(res.gamma.gamma, expected.astype(complex))
+        assert np.array_equal(res.gamma, expected.astype(complex))
 
     def test_never_beats_exhaustive_floor(self, toy):
         es = exhaustive_search(toy["table"], toy["spec"], toy["states"])
@@ -508,7 +507,7 @@ class TestGoQuantized:
         array = build_array(CylinderGeometry(radius_m, 3.6e9), n_elements, 0.038)
         for phi_o in np.radians(np.arange(-80.0, 81.0)):
             assert np.array_equal(
-                conjugate_phase_excitation(array, phi_o).gamma,
+                conjugate_phase_excitation(array, phi_o),
                 go_reflection(array.geom, phi_o, array.alphas),
             )
 
@@ -561,9 +560,9 @@ def test_singular_sigma_raises_numerical_error(toy):
 def test_es_dominates_all_methods_on_toy(toy, toy_sigma):
     es = exhaustive_search(toy["table"], toy["spec"], toy["states"])
     table, sig = toy_sigma
-    mpdr = mpdr_synthesize(table, sig, toy["spec"], toy["states"])
+    mpdr = mpdr_synthesize(table, toy["spec"], toy["states"])
     ga = ga_synthesize(
-        toy["table"], toy["spec"], toy["states"], GaConfig(population=60, generations=30), seed=0
+        toy["table"], toy["spec"], toy["states"], population=60, generations=30, seed=0
     )
     goq = go_quantized(toy["table"], toy["spec"], toy["states"])
     for gamma in (mpdr.gamma, ga.gamma, goq.gamma):
