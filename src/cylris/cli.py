@@ -17,7 +17,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .config import METHOD_NAMES, RunConfig, load_config, parse_config
+from .config import METHOD_NAMES, RunConfig, load_config, override, parse_config
 from .errors import BudgetExceededError, ConfigError, NumericalError
 from .pipeline import compare_runs, run_single, run_sweep, run_validation
 
@@ -50,15 +50,15 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     synth.add_argument("--method", choices=METHOD_NAMES, default=None, help="Override method.name.")
     synth.add_argument("--phi-o-deg", type=float, default=None, help="Override steering.phi_o_deg.")
-    synth.add_argument("--seed", type=int, default=None, help="Override the GA seed.")
-    synth.add_argument("--workers", type=int, default=None, help="Override ES worker count.")
+    synth.add_argument("--seed", type=int, default=None, help="Override method.seed.")
+    synth.add_argument("--workers", type=int, default=None, help="Override method.workers.")
     synth.add_argument("--grid-points", type=int, default=None, help="Override output.grid_points.")
     synth.add_argument("-o", "--output-dir", default=None, help="Override output.directory.")
 
     sweep = sub.add_parser("sweep", help="Run every configured (method, angle) combination.")
     sweep.add_argument("-c", "--config", metavar="YAML", required=True)
-    sweep.add_argument("--seed", type=int, default=None, help="Override the GA seed.")
-    sweep.add_argument("--workers", type=int, default=None, help="Override ES worker count.")
+    sweep.add_argument("--seed", type=int, default=None, help="Override method.seed.")
+    sweep.add_argument("--workers", type=int, default=None, help="Override method.workers.")
     sweep.add_argument("-o", "--output-dir", default=None, help="Override output.directory.")
 
     validate = sub.add_parser("validate", help="Run the identity and boundary-residual suites.")
@@ -71,31 +71,22 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _apply_overrides(cfg: RunConfig, args: argparse.Namespace) -> RunConfig:
-    from dataclasses import replace
+# argparse destination -> the config key its flag overrides
+_OVERRIDES = {
+    "method": "method.name",
+    "phi_o_deg": "steering.phi_o_deg",
+    "seed": "method.seed",
+    "workers": "method.workers",
+    "grid_points": "output.grid_points",
+    "output_dir": "output.directory",
+}
 
-    updates: dict = {}
-    params = dict(cfg.method_params)
-    if getattr(args, "method", None):
-        updates["methods"] = (args.method,)
-    if getattr(args, "phi_o_deg", None) is not None:
-        if not np.isfinite(args.phi_o_deg):
-            raise ConfigError(f"steering.phi_o_deg: must be finite, got {args.phi_o_deg}")
-        updates["phi_o_deg"] = (args.phi_o_deg,)
-    if getattr(args, "output_dir", None):
-        updates["output_dir"] = args.output_dir
-    if getattr(args, "grid_points", None) is not None:
-        if args.grid_points < 2:
-            raise ConfigError(f"output.grid_points: must be >= 2, got {args.grid_points}")
-        updates["grid_points"] = args.grid_points
-    if getattr(args, "seed", None) is not None:
-        params["seed"] = args.seed
-    if getattr(args, "workers", None) is not None:
-        if args.workers < 1:
-            raise ConfigError(f"method.workers: must be an integer >= 1, got {args.workers}")
-        params["workers"] = args.workers
-    updates["method_params"] = params
-    return replace(cfg, **updates)
+
+def _apply_overrides(cfg: RunConfig, args: argparse.Namespace) -> RunConfig:
+    for dest, key in _OVERRIDES.items():
+        if getattr(args, dest, None) is not None:
+            cfg = override(cfg, key, getattr(args, dest))
+    return cfg
 
 
 def _load_synth_config(args: argparse.Namespace) -> RunConfig:

@@ -37,12 +37,12 @@ class _ArrayContext:
     """
 
     def __init__(self, cfg: RunConfig):
-        self.geom = CylinderGeometry(radius_m=cfg.radius_m, freq_hz=cfg.freq_hz)
+        self.geom = CylinderGeometry(**cfg.geometry)
         self.array = (
-            None if cfg.n_elements is None
-            else build_array(self.geom, cfg.n_elements, cfg.arc_pitch_m)
+            None if cfg.array is None
+            else build_array(self.geom, cfg.array["n_elements"], cfg.array["arc_pitch_m"])
         )
-        self.element_pattern = cfg.element_pattern
+        self.element_pattern = None if cfg.array is None else cfg.array["element_pattern"]
         self._kept: dict = {}
 
     def _once(self, key, build):
@@ -65,17 +65,17 @@ class _ArrayContext:
 
 
 def _state_table(cfg: RunConfig) -> meta_atom.StateTable:
-    if cfg.meta_atom_model == "table":
-        return meta_atom.load_state_table(cfg.meta_atom_table)
-    return meta_atom.ideal_one_bit(taper=cfg.meta_atom_model)
+    if cfg.meta_atom["model"] == "table":
+        return meta_atom.load_state_table(cfg.meta_atom["table_path"])
+    return meta_atom.ideal_one_bit(taper=cfg.meta_atom["model"])
 
 
 def _delta_phi(cfg: RunConfig, ctx: _ArrayContext) -> float:
-    if cfg.delta_phi_mode == "absolute_deg":
-        return float(np.radians(cfg.delta_phi_value))
+    if cfg.steering["delta_phi_mode"] == "absolute_deg":
+        return float(np.radians(cfg.steering["value"]))
     if ctx.array is None:
         raise ConfigError("delta_phi_mode 'ref_factor' needs an array block")
-    return cfg.delta_phi_value * ctx.reference_window()
+    return cfg.steering["value"] * ctx.reference_window()
 
 
 def _require_window_sample(spec: SteeringSpec, n_points: int, key: str) -> None:
@@ -117,10 +117,11 @@ def _run_continuous(
     cfg: RunConfig, ctx: _ArrayContext, method: str, phi_o: float, spec: SteeringSpec, outdir: Path
 ):
     geom = ctx.geom
+    n_points = cfg.output["grid_points"]
     need = exact_synth.required_grid_points(geom.k0r, method)
-    if cfg.grid_points < need:
+    if n_points < need:
         raise ConfigError(f"output.grid_points: {method} at k0R = {geom.k0r:.4g} needs >= {need}")
-    grid = AngularGrid.uniform(cfg.grid_points)
+    grid = AngularGrid.uniform(n_points)
     if method == "exact":
         expansion = exact_synth.modal_coefficients(geom, phi_o)
         profile = exact_synth.surface_impedance(geom, expansion, grid)
@@ -128,9 +129,7 @@ def _run_continuous(
         io.write_impedance_csv(outdir / "impedance.csv", profile)
     else:  # go
         profile = go_synth.go_impedance(geom, phi_o, grid)
-        pattern = go_synth.far_field_po(
-            geom, profile.gamma, grid, shadow_model=cfg.method_params["shadow_model"]
-        )
+        pattern = go_synth.far_field_po(geom, profile.gamma, grid, **cfg.params_for(method))
         io.write_go_impedance_csv(outdir / "impedance.csv", profile)
     m = pattern_metrics(pattern, spec)
     io.write_pattern_csv(outdir / "pattern.csv", pattern)
@@ -152,14 +151,14 @@ def _run_discrete(
     cfg: RunConfig, ctx: _ArrayContext, method: str, phi_o: float, spec: SteeringSpec, outdir: Path
 ):
     if method != "mpdr":  # mpdr scores on no grid
-        _require_window_sample(spec, cfg.objective_grid_points, "objective_grid_points")
+        _require_window_sample(spec, cfg.output["objective_grid_points"], "objective_grid_points")
     state_table = _state_table(cfg)
     states = meta_atom.state_sets_for_array(state_table, ctx.array)
     io.write_state_sets_json(outdir / "states.json", ctx.array, states, state_table.metadata)
     synthesize = getattr(optimizers, _OPTIMIZERS[method])
-    table = ctx.table(cfg.objective_grid_points)
+    table = ctx.table(cfg.output["objective_grid_points"])
     result = synthesize(table, spec, states, **cfg.params_for(method))
-    pattern = far_field_discrete(ctx.table(cfg.grid_points), result.gamma)
+    pattern = far_field_discrete(ctx.table(cfg.output["grid_points"]), result.gamma)
     m = pattern_metrics(pattern, spec)
     io.write_pattern_csv(outdir / "pattern.csv", pattern)
     io.write_metrics_json(outdir / "metrics.json", m)
@@ -173,16 +172,19 @@ def run_single(cfg: RunConfig, outdir=None, command: str = "synth", _context=Non
     `_context` is the per-array work `run_sweep` shares between the cases of
     one sweep; without it the run builds its own.
     """
-    if len(cfg.methods) != 1 or len(cfg.phi_o_deg) != 1:
-        raise ConfigError("run_single needs exactly one method and one steering angle")
+    for key, axis in (("method.name", cfg.methods), ("steering.phi_o_deg", cfg.phi_o_deg)):
+        if len(axis) != 1:
+            raise ConfigError(
+                f"{key}: one run takes one entry, got {len(axis)}; sweep runs a list"
+            )
     ctx = _context if _context is not None else _ArrayContext(cfg)
     method = cfg.methods[0]
     phi_o = float(np.radians(cfg.phi_o_deg[0]))
     spec = SteeringSpec(phi_o=phi_o, delta_phi=_delta_phi(cfg, ctx))
-    _require_window_sample(spec, cfg.grid_points, "grid_points")
+    _require_window_sample(spec, cfg.output["grid_points"], "grid_points")
     if ctx.array is not None:
         spec.warn_if_below_reference(ctx.reference_window())
-    outdir = Path(outdir if outdir is not None else cfg.output_dir)
+    outdir = Path(outdir if outdir is not None else cfg.output["directory"])
     outdir.mkdir(parents=True, exist_ok=True)
     run = _run_continuous if method in ("exact", "go") else _run_discrete
     pattern, m, result = run(cfg, ctx, method, phi_o, spec, outdir)
@@ -198,16 +200,27 @@ def run_single(cfg: RunConfig, outdir=None, command: str = "synth", _context=Non
 
 
 def run_sweep(cfg: RunConfig, outdir=None):
-    """Run every (method x steering angle) combination plus a comparison."""
-    outdir = Path(outdir if outdir is not None else cfg.output_dir)
+    """Run every (method x steering angle) combination plus a comparison.
+
+    Each case writes into `<method>_phi<angle:g>`; angles whose labels
+    coincide are refused before any case runs.
+    """
+    labels = [f"{phi_deg:g}" for phi_deg in cfg.phi_o_deg]
+    if len(set(labels)) != len(labels):
+        raise ConfigError(
+            f"steering.phi_o_deg: {list(cfg.phi_o_deg)} give the run directory labels "
+            f"{labels}, which repeat; angles must differ in their first 6 significant digits"
+        )
+    outdir = Path(outdir if outdir is not None else cfg.output["directory"])
     outdir.mkdir(parents=True, exist_ok=True)
     entries = []
     ctx = _ArrayContext(cfg)  # every case shares the array; emptied on return
     try:
         for method in cfg.methods:
-            for phi_deg in cfg.phi_o_deg:
-                sub = outdir / f"{method}_phi{phi_deg:g}"
-                one = replace(cfg, methods=(method,), phi_o_deg=(phi_deg,), output_dir=str(sub))
+            for phi_deg, label in zip(cfg.phi_o_deg, labels):
+                sub = outdir / f"{method}_phi{label}"
+                output = {**cfg.output, "directory": str(sub)}
+                one = replace(cfg, methods=(method,), phi_o_deg=(phi_deg,), output=output)
                 entries.append(run_single(one, outdir=sub, command="sweep", _context=ctx))
     finally:
         ctx.clear()

@@ -1,3 +1,4 @@
+import inspect
 import json
 import os
 import resource
@@ -9,9 +10,9 @@ import numpy as np
 import pytest
 import yaml
 
-from cylris import CylinderGeometry, optimizers, specfun
+from cylris import CylinderGeometry, go_synth, optimizers, specfun
 from cylris.cli import main
-from cylris.config import load_config, parse_config
+from cylris.config import METHOD_KEYS, SCHEMA, load_config, parse_config
 from cylris.errors import ConfigError
 
 
@@ -58,6 +59,19 @@ class TestConfigParsing:
         cfg["extras"] = {}
         with pytest.raises(ConfigError, match="extras"):
             parse_config(cfg)
+
+    def test_method_defaults_match_the_library(self):
+        """Each method key's schema default is its library keyword's default."""
+        library = {
+            "go": go_synth.far_field_po,
+            "es": optimizers.exhaustive_search,
+            "ga": optimizers.ga_synthesize,
+            "mpdr": optimizers.mpdr_synthesize,
+        }
+        for method, fn in library.items():
+            params = inspect.signature(fn).parameters
+            for key in METHOD_KEYS[method]:
+                assert SCHEMA["method"][key][1] == params[key].default, (method, key)
 
     def test_missing_required_field(self, tmp_path):
         cfg = toy_config(tmp_path / "out")
@@ -205,6 +219,15 @@ def _es_argv(tmp):
     return _synth_argv(tmp, toy_config(tmp / "run", method="es"))
 
 
+def _es_override_without_array(tmp):
+    """An exact config with no array block, overridden to a discrete method."""
+    cfg = toy_config(
+        tmp / "run", method="exact", steering={"delta_phi_mode": "absolute_deg", "value": 10.0}
+    )
+    del cfg["array"]
+    return _synth_argv(tmp, cfg) + ["--method", "es"]
+
+
 # bad input -> (argv builder, the config key the error message must name)
 KEYED_BAD_INPUTS = {
     "radius_m_bool": (_with("geometry", "radius_m", True), "geometry.radius_m"),
@@ -251,6 +274,16 @@ KEYED_BAD_INPUTS = {
     "psi_refine_-3": (_with("method", "psi_refine", -3, "mpdr"), "method.psi_refine"),
     "budget_-1": (_with("method", "budget", -1, "es"), "method.budget"),
     "budget_0": (_with("method", "budget", 0, "es"), "method.budget"),
+    "seed_-1_yaml": (_with("method", "seed", -1, "ga"), "method.seed"),
+    "seed_-5_cli": (
+        lambda tmp: _synth_argv(tmp, toy_config(tmp / "run", method="ga")) + ["--seed", "-5"],
+        "method.seed",
+    ),
+    "radius_m_negative": (_with("geometry", "radius_m", -0.12), "geometry.radius_m"),
+    "freq_hz_0": (_with("geometry", "freq_hz", 0.0), "geometry.freq_hz"),
+    "synth_angle_list": (_with("steering", "phi_o_deg", [10.0, 20.0]), "steering.phi_o_deg"),
+    "synth_method_list": (_with("method", "name", ["mpdr", "go_q"]), "method.name"),
+    "method_cli_es_without_array": (_es_override_without_array, "array: block required"),
     # a protected window that covers the whole circle leaves no sidelobe region
     "ref_factor_window_whole_circle": (_with("geometry", "freq_hz", 1.0e9), "steering.value"),
     "absolute_window_whole_circle": (
@@ -459,6 +492,16 @@ class TestSweepAndCompare:
         for sub in ("mpdr_phi10", "mpdr_phi20", "go_q_phi10", "go_q_phi20"):
             assert (out / sub / "metrics.json").exists()
 
+    @pytest.mark.parametrize("angles", [[20.0, 20.0000001, 35.0], [20.0, 35.0, 20.0]])
+    def test_sweep_refuses_repeated_run_labels(self, tmp_path, capsys, angles):
+        """Two angles that share a `go_q_phi<angle:g>` directory would overwrite one run."""
+        out = tmp_path / "sweep"
+        cfg = toy_config(out, method="go_q")
+        cfg["steering"]["phi_o_deg"] = angles
+        assert run_cli(["sweep", "-c", str(write_config(tmp_path, cfg))]) == 2
+        assert "steering.phi_o_deg" in one_json_error(capsys)["error"]
+        assert not out.exists()
+
     def test_sweep_cases_equal_standalone_runs(self, tmp_path):
         """The per-sweep shared context changes no byte of any case."""
         from dataclasses import replace
@@ -474,7 +517,10 @@ class TestSweepAndCompare:
         for entry in out["entries"]:
             sub = Path(entry["outdir"])
             one = replace(
-                cfg, methods=(entry["method"],), phi_o_deg=(entry["phi_o_deg"],), output_dir=str(sub)
+                cfg,
+                methods=(entry["method"],),
+                phi_o_deg=(entry["phi_o_deg"],),
+                output={**cfg.output, "directory": str(sub)},
             )
             alone = tmp_path / "alone" / sub.name
             run_single(one, outdir=alone, command="sweep")
@@ -518,7 +564,7 @@ class TestSweepAndCompare:
         pipeline.run_sweep(cfg)
         # objective, output and the reference window's own table
         assert sorted(calls["steering_vector"]) == sorted(
-            [cfg.objective_grid_points, cfg.grid_points, 3601]
+            [cfg.output["objective_grid_points"], cfg.output["grid_points"], 3601]
         )
         assert calls["reference_window"] == 1
         assert len(contexts) == 15 and all(c is contexts[0] for c in contexts)

@@ -4,8 +4,9 @@ Each example runs `cylris synth` in-process on the toy configuration (8
 elements on a 12 cm cylinder, a small GA) with up to two keys set to a
 drawn value: None, a bool, an integer, a float (nan and inf included), a
 short string or a list. Whatever the input, the run ends in a documented
-exit code, reports a failure as exactly one JSON line on stderr, and never
-reports success with a non-finite peak or sidelobe level.
+exit code, reports a failure as exactly one JSON line on stderr (one that
+names the config key when the exit code is 2), and never reports success
+with a non-finite peak or sidelobe level.
 
 Finite numbers stay within +-1000, and the radius within +-2 m (k0R <= 151
 at 3.6 GHz), so every example is small: grid sizes, psi scans and the
@@ -15,6 +16,7 @@ gigabytes), and that is not what this test probes.
 
 import json
 import math
+import re
 import shutil
 
 import yaml
@@ -78,6 +80,11 @@ def values(limit: int):
     )
 
 
+# an exit-2 message names the config key it refuses
+NAMES_A_KEY = re.compile(
+    r"\b(geometry|array|steering|meta_atom|method|output)(\.\w+|: unknown key)"
+)
+
 MUTATIONS = st.lists(
     st.sampled_from(KEYS).flatmap(
         lambda key: st.tuples(st.just(key), values(LIMITS.get(key, 1000)))
@@ -109,7 +116,10 @@ def test_synth_ends_in_a_documented_exit(tmp_path, capsys, method, mutations):
     assert code in (0, 2, 3, 4)
     if code:
         assert len(err) == 1
-        assert json.loads(err[0])["code"] == code
+        payload = json.loads(err[0])
+        assert payload["code"] == code
+        if code == 2:
+            assert NAMES_A_KEY.search(payload["error"]), payload["error"]
     else:
         metrics = json.loads((tmp_path / "run" / "metrics.json").read_text())
         assert metrics["peak_db"] is not None and math.isfinite(metrics["peak_db"])
