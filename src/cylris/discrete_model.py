@@ -31,17 +31,21 @@ __all__ = [
 ]
 
 ELEMENT_PATTERNS = ("cos", "cos2")
+REFERENCE_GRID_POINTS = 3601  # grid on which `reference_window` measures the lobe
 
 
 @dataclass(frozen=True)
 class ElementArray:
-    """Element angular positions on the cylinder, centered on phi = 0."""
+    """Element angles on the cylinder, centered on phi = 0, and their one element pattern."""
 
     geom: CylinderGeometry
     alphas: np.ndarray
     arc_pitch_m: float
+    element_pattern: str
 
     def __post_init__(self):
+        if self.element_pattern not in ELEMENT_PATTERNS:
+            raise ValueError(f"element_pattern must be one of {ELEMENT_PATTERNS}")
         a = np.asarray(self.alphas, dtype=float)
         if a.ndim != 1 or a.size < 1:
             raise ValueError("alphas must be a nonempty vector")
@@ -60,7 +64,9 @@ class ElementArray:
         return self.alphas.size
 
 
-def build_array(geom: CylinderGeometry, n_elements: int, arc_pitch_m: float) -> ElementArray:
+def build_array(
+    geom: CylinderGeometry, n_elements: int, arc_pitch_m: float, element_pattern: str = "cos"
+) -> ElementArray:
     """Uniform arc of n elements, pitch p along the arc, centered on phi = 0.
 
     alpha_n = (n - (N+1)/2) * p / R for n = 1..N. Raises when the arc would
@@ -77,20 +83,18 @@ def build_array(geom: CylinderGeometry, n_elements: int, arc_pitch_m: float) -> 
         )
     n = np.arange(1, n_elements + 1)
     alphas = (n - (n_elements + 1) / 2.0) * (arc_pitch_m / geom.radius_m)
-    return ElementArray(geom=geom, alphas=alphas, arc_pitch_m=arc_pitch_m)
+    return ElementArray(geom, alphas, arc_pitch_m, element_pattern)
 
 
-def _element_gain(delta: np.ndarray, alphas: np.ndarray, element_pattern: str) -> np.ndarray:
+def _element_gain(delta: np.ndarray, array: ElementArray) -> np.ndarray:
     """Cosine element pattern, hard-cut outside +-90 deg from the normal.
 
     "cos" is the plain re-radiation cosine; "cos2" additionally weights each
     element by the cosine of its illumination angle cos(alpha_n).
     """
-    if element_pattern not in ELEMENT_PATTERNS:
-        raise ValueError(f"element_pattern must be one of {ELEMENT_PATTERNS}")
     gain = np.where(np.abs(delta) < np.pi / 2, np.cos(delta), 0.0)
-    if element_pattern == "cos2":
-        gain = gain * np.cos(alphas)
+    if array.element_pattern == "cos2":
+        gain = gain * np.cos(array.alphas)
     return gain
 
 
@@ -101,7 +105,6 @@ class SteeringVectorTable:
     grid: AngularGrid
     a: np.ndarray
     array: ElementArray
-    element_pattern: str = "cos"
 
     def __post_init__(self):
         a = np.asarray(self.a, dtype=complex)
@@ -114,22 +117,19 @@ class SteeringVectorTable:
         return self.array.n_elements
 
 
-def steering_vector(
-    array: ElementArray, grid: AngularGrid, element_pattern: str = "cos"
-) -> SteeringVectorTable:
+def steering_vector(array: ElementArray, grid: AngularGrid) -> SteeringVectorTable:
     """Tabulate a_n(phi) for every grid angle and element."""
-    a = steering_vector_at(array, grid.values, element_pattern)
-    return SteeringVectorTable(grid=grid, a=a, array=array, element_pattern=element_pattern)
+    return SteeringVectorTable(grid=grid, a=steering_vector_at(array, grid.values), array=array)
 
 
-def steering_vector_at(array: ElementArray, phi, element_pattern: str = "cos") -> np.ndarray:
+def steering_vector_at(array: ElementArray, phi) -> np.ndarray:
     """a(phi) at any angle or array of angles, exact (no grid snapping).
 
     The one steering kernel: the result has shape phi.shape + (N,). The
     phase is built in place, so a large table needs few temporaries.
     """
     delta = wrap_angle(np.asarray(phi, dtype=float)[..., None] - array.alphas)
-    gain = _element_gain(delta, array.alphas, element_pattern)
+    gain = _element_gain(delta, array)
     arg = np.cos(delta)
     del delta
     arg += np.cos(array.alphas)
@@ -155,13 +155,9 @@ def conjugate_phase_excitation(array: ElementArray, phi_o: float) -> np.ndarray:
 
 
 def reference_beamwidth(
-    array: ElementArray,
-    phi_o: float,
-    kind: str = "half_power",
-    grid_points: int = 3601,
-    element_pattern: str = "cos",
+    table: SteeringVectorTable, phi_o: float, kind: str = "half_power"
 ) -> float:
-    """Main-lobe width of the cophasal reference pattern pointed at phi_o.
+    """Main-lobe width of the cophasal reference pattern pointed at phi_o, on `table`'s grid.
 
     kind="half_power" measures between the -3 dB crossings; kind="null"
     measures null-to-null, i.e. the full lobe extent. The null-based width
@@ -169,9 +165,7 @@ def reference_beamwidth(
     it is a steering-independent array property, and a protected window that
     covers the whole lobe keeps the sidelobe-ratio objective well posed.
     """
-    grid = AngularGrid.uniform(grid_points)
-    table = steering_vector(array, grid, element_pattern)
-    pattern = far_field_discrete(table, conjugate_phase_excitation(array, phi_o))
+    pattern = far_field_discrete(table, conjugate_phase_excitation(table.array, phi_o))
     if kind == "half_power":
         return half_power_width(pattern)
     if kind == "null":
@@ -181,4 +175,5 @@ def reference_beamwidth(
 
 def reference_window(array: ElementArray, factor: float = 1.2) -> float:
     """Default protected width: factor times the boresight null-based lobe width."""
-    return factor * reference_beamwidth(array, 0.0, kind="null")
+    table = steering_vector(array, AngularGrid.uniform(REFERENCE_GRID_POINTS))
+    return factor * reference_beamwidth(table, 0.0, kind="null")

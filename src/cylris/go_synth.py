@@ -51,23 +51,19 @@ def go_reflection(geom: CylinderGeometry, phi_o: float, phi) -> np.ndarray:
     return np.exp(-1j * phase_function(geom, phi_o, phi))
 
 
-def go_impedance(
-    geom: CylinderGeometry,
-    phi_o: float,
-    grid: AngularGrid,
-    tol: float = SINGULARITY_TOL,
-) -> GoProfile:
+def go_impedance(geom: CylinderGeometry, phi_o: float, grid: AngularGrid) -> GoProfile:
     """Purely imaginary impedance Z/eta0 = -j cot(Phi_r/2) / cos(phi).
 
-    Samples where |sin(Phi_r/2)| < tol (impedance pole) or |cos(phi)| < tol
-    (grazing wave impedance) are flagged singular and set to NaN.
+    Samples where |sin(Phi_r/2)| < SINGULARITY_TOL (impedance pole) or
+    |cos(phi)| < SINGULARITY_TOL (grazing wave impedance) are flagged
+    singular and set to NaN.
     """
     phi = grid.values
     phase = phase_function(geom, phi_o, phi)
     gamma = np.exp(-1j * phase)
     s = np.sin(phase / 2.0)
     c = np.cos(phi)
-    singular = (np.abs(s) < tol) | (np.abs(c) < tol)
+    singular = (np.abs(s) < SINGULARITY_TOL) | (np.abs(c) < SINGULARITY_TOL)
     with np.errstate(divide="ignore", invalid="ignore"):
         z = -1j * (np.cos(phase / 2.0) / s) / c
     z = np.where(singular, np.nan + 1j * np.nan, z)

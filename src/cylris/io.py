@@ -54,7 +54,7 @@ def write_json(path, payload: dict) -> None:
 
 def write_pattern_csv(path, pattern: PatternGrid) -> None:
     """Columns: phi_deg, re_F, im_F, mag_db (peak-normalized)."""
-    mag_db = pattern.magnitude_db(normalized=True)
+    mag_db = pattern.magnitude_db()
     lines = ["phi_deg,re_F,im_F,mag_db"]
     for phi, f, db in zip(pattern.grid.degrees, pattern.f, mag_db):
         lines.append(f"{_fmt(phi)},{_fmt(f.real)},{_fmt(f.imag)},{_fmt(db)}")

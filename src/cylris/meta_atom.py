@@ -90,12 +90,12 @@ class StateTable:
         return mags * np.exp(1j * phs)
 
 
-def ideal_one_bit(taper: str = "constant", angle_step_deg: float = 1.0) -> StateTable:
+def ideal_one_bit(taper: str = "constant") -> StateTable:
     """Idealized two-state element: unit magnitude, 180 deg split at normal.
 
     taper="constant" keeps the 180 deg split at every incidence angle (single
-    row). taper="cosine" degrades the split as 180 * cos(theta), tabulated on
-    a uniform angle grid over [0, 90] deg, which mimics how the state
+    row). taper="cosine" degrades the split as 180 * cos(theta), tabulated
+    every 1 deg over [0, 90] deg, which mimics how the state
     contrast of a real element collapses toward grazing.
     """
     if taper == "constant":
@@ -106,10 +106,7 @@ def ideal_one_bit(taper: str = "constant", angle_step_deg: float = 1.0) -> State
             metadata={"model": "ideal_one_bit", "taper": "constant"},
         )
     if taper == "cosine":
-        if angle_step_deg <= 0:
-            raise ValueError("angle_step_deg must be positive")
-        angles = np.arange(0.0, 90.0 + angle_step_deg / 2, angle_step_deg)
-        angles = angles[angles <= 90.0]
+        angles = np.arange(0.0, 90.5, 1.0)
         delta = np.pi * np.cos(np.radians(angles))
         states = np.stack([np.ones_like(delta) + 0j, np.exp(1j * delta)], axis=1)
         return StateTable(
@@ -121,12 +118,12 @@ def ideal_one_bit(taper: str = "constant", angle_step_deg: float = 1.0) -> State
     raise ValueError("taper must be 'constant' or 'cosine'")
 
 
-def load_state_table(path, bits: int | None = None, metadata: dict | None = None) -> StateTable:
+def load_state_table(path, metadata: dict | None = None) -> StateTable:
     """Load a state table from CSV: angle_deg, state_index, mag, phase_deg.
 
     One header line; every (angle, state) pair must be present. The number
-    of distinct state indices must be a power of two (sets bits when not
-    given). Raises ValueError naming the offending row on any violation.
+    of distinct state indices must be a power of two, 2**bits. Raises
+    ValueError naming the offending row on any violation.
     """
     rows = []
     with open(path, newline="") as fh:
@@ -157,8 +154,6 @@ def load_state_table(path, bits: int | None = None, metadata: dict | None = None
     b = n_states.bit_length() - 1
     if 2**b != n_states:
         raise ValueError(f"{path}: number of states {n_states} is not a power of two")
-    if bits is not None and bits != b:
-        raise ValueError(f"{path}: table has {n_states} states but bits = {bits} was requested")
     table = np.full((angles.size, n_states), np.nan, dtype=complex)
     for angle, idx, mag, ph, ln in rows:
         i = int(np.searchsorted(angles, angle))

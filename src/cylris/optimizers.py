@@ -120,11 +120,10 @@ def build_sigma(table: SteeringVectorTable, spec: SteeringSpec) -> SigmaMatrices
     Gauss-Legendre panels (`_sigma_nodes`) make both exact to rounding:
     Sigma is the weighted sum over every node, Sigma_S over the
     exclusion-set nodes only, so both are Gram matrices (Hermitian PSD).
-    Only `table.array` and `table.element_pattern` are read; the table's
-    grid plays no part.
+    Only `table.array` is read; the table's grid plays no part.
     """
     nodes, weights = _sigma_nodes(table.array, spec)
-    a = steering_vector_at(table.array, nodes, table.element_pattern) * np.sqrt(weights)[:, None]
+    a = steering_vector_at(table.array, nodes) * np.sqrt(weights)[:, None]
     a_s = a[np.abs(wrap_angle(nodes - spec.phi_o)) > spec.delta_phi / 2.0]  # exclusion_set_mask
     return SigmaMatrices(sigma=_hermitize(a.conj().T @ a), sigma_s=_hermitize(a_s.conj().T @ a_s))
 
@@ -218,14 +217,14 @@ def mpdr_synthesize(
     (uniform grid over [-pi, pi), optionally refined around the minimum).
     Every psi of a scan is projected in one `project_to_states` broadcast;
     each candidate is then scored as g^H Sigma_S g in ascending psi, and the
-    first minimum wins. Fully deterministic. Of `table`, only the array and
-    element pattern are read: Sigma and Sigma_S come from `build_sigma`.
+    first minimum wins. Fully deterministic. Of `table`, only the array is
+    read: Sigma and Sigma_S come from `build_sigma`.
     """
     if psi_samples < 1 or psi_refine < 0:
         raise ValueError(f"need psi_samples >= 1, psi_refine >= 0; got {psi_samples}, {psi_refine}")
     sig = build_sigma(table, spec)
     # exact steering vector at phi_o, not a grid snap
-    a_o = steering_vector_at(table.array, spec.phi_o, table.element_pattern)
+    a_o = steering_vector_at(table.array, spec.phi_o)
     x = _solve_sigma(sig.sigma, a_o.conj())
 
     def scan(psis: np.ndarray) -> tuple:

@@ -19,6 +19,7 @@ __all__ = [
 ]
 
 HALF_POWER_DROP_DB = 3.0
+NULL_FLOOR_REL = 10.0 ** (-10.5 / 20.0)  # about -10.5 dB
 
 
 @dataclass(frozen=True)
@@ -40,13 +41,12 @@ class PatternGrid:
     def magnitude(self) -> np.ndarray:
         return np.abs(self.f)
 
-    def magnitude_db(self, normalized: bool = True) -> np.ndarray:
-        """20 log10 |F|, optionally peak-normalized; -inf where |F| = 0."""
+    def magnitude_db(self) -> np.ndarray:
+        """Peak-normalized 20 log10 |F|; -inf where |F| = 0."""
         mag = self.magnitude
-        if normalized:
-            peak = mag.max()
-            if peak > 0:
-                mag = mag / peak
+        peak = mag.max()
+        if peak > 0:
+            mag = mag / peak
         with np.errstate(divide="ignore"):
             return 20.0 * np.log10(mag)
 
@@ -109,8 +109,8 @@ def interpolate_magnitude(pattern: PatternGrid, phi: float) -> float:
     return float(max(val, 0.0))
 
 
-def half_power_width(pattern: PatternGrid, drop_db: float = HALF_POWER_DROP_DB) -> float:
-    """Width of the main lobe between the -drop_db crossings around the peak.
+def half_power_width(pattern: PatternGrid) -> float:
+    """Width of the main lobe between the -3 dB crossings around the peak.
 
     Crossings are located by linear interpolation between samples; NaN when a
     crossing is missing on either side (pattern never falls below the level).
@@ -118,7 +118,7 @@ def half_power_width(pattern: PatternGrid, drop_db: float = HALF_POWER_DROP_DB) 
     mag = pattern.magnitude
     n = mag.size
     i_pk = int(mag.argmax())
-    level = mag[i_pk] * 10.0 ** (-drop_db / 20.0)
+    level = mag[i_pk] * 10.0 ** (-HALF_POWER_DROP_DB / 20.0)
     step = pattern.grid.spacing
 
     # walk outward in index space, counting steps from the peak
@@ -139,17 +139,17 @@ def half_power_width(pattern: PatternGrid, drop_db: float = HALF_POWER_DROP_DB) 
     return right + left
 
 
-def first_null_width(pattern: PatternGrid, floor_rel: float = 10.0 ** (-10.5 / 20.0)) -> float:
+def first_null_width(pattern: PatternGrid) -> float:
     """Null-to-null width of the main lobe.
 
     A null is the first local minimum on each side of the peak whose level is
-    below `floor_rel` times the peak (default about -10.5 dB), which skips
-    shallow ripple on the lobe shoulders.
+    below NULL_FLOOR_REL times the peak, which skips shallow ripple on the
+    lobe shoulders.
     """
     mag = pattern.magnitude
     n = mag.size
     i_pk = int(mag.argmax())
-    floor = mag[i_pk] * floor_rel
+    floor = mag[i_pk] * NULL_FLOOR_REL
     step = pattern.grid.spacing
 
     def null_offset(direction: int) -> float:

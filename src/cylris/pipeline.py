@@ -18,7 +18,13 @@ import scipy
 
 from . import __version__, exact_synth, go_synth, io, meta_atom, optimizers, specfun
 from .config import RunConfig
-from .discrete_model import build_array, far_field_discrete, reference_window, steering_vector
+from .discrete_model import (
+    REFERENCE_GRID_POINTS,
+    build_array,
+    far_field_discrete,
+    reference_beamwidth,
+    steering_vector,
+)
 from .errors import ConfigError
 from .geometry import AngularGrid, CylinderGeometry, SteeringSpec, exclusion_set_mask, wrap_angle
 from .patterns import pattern_metrics
@@ -29,20 +35,16 @@ __all__ = ["run_single", "run_sweep", "build_comparison", "run_validation", "wri
 class _ArrayContext:
     """The per-array work of a run, built on first use and then kept.
 
-    Every case of a sweep shares one geometry, array, element pattern and
-    set of grid sizes, so `run_sweep` hands one context to all of them: each
-    steering table (keyed by grid size) and the boresight reference window
-    are built once. `clear` drops the kept arrays; the context rebuilds them
-    on demand.
+    Every case of a sweep shares one geometry, array and set of grid sizes,
+    so `run_sweep` hands one context to all of them: each steering table
+    (keyed by grid size) and the boresight reference window, measured on
+    the REFERENCE_GRID_POINTS table, are built once. `clear` drops the kept
+    arrays; the context rebuilds them on demand.
     """
 
     def __init__(self, cfg: RunConfig):
         self.geom = CylinderGeometry(**cfg.geometry)
-        self.array = (
-            None if cfg.array is None
-            else build_array(self.geom, cfg.array["n_elements"], cfg.array["arc_pitch_m"])
-        )
-        self.element_pattern = None if cfg.array is None else cfg.array["element_pattern"]
+        self.array = None if cfg.array is None else build_array(self.geom, **cfg.array)
         self._kept: dict = {}
 
     def _once(self, key, build):
@@ -52,13 +54,15 @@ class _ArrayContext:
 
     def table(self, n_points: int):
         return self._once(
-            n_points,
-            lambda: steering_vector(self.array, AngularGrid.uniform(n_points), self.element_pattern),
+            n_points, lambda: steering_vector(self.array, AngularGrid.uniform(n_points))
         )
 
     def reference_window(self) -> float:
         """The boresight null-based lobe width (`reference_window` at factor 1)."""
-        return self._once("reference", lambda: reference_window(self.array, factor=1.0))
+        return self._once(
+            "reference",
+            lambda: reference_beamwidth(self.table(REFERENCE_GRID_POINTS), 0.0, kind="null"),
+        )
 
     def clear(self) -> None:
         self._kept.clear()
@@ -73,8 +77,6 @@ def _state_table(cfg: RunConfig) -> meta_atom.StateTable:
 def _delta_phi(cfg: RunConfig, ctx: _ArrayContext) -> float:
     if cfg.steering["delta_phi_mode"] == "absolute_deg":
         return float(np.radians(cfg.steering["value"]))
-    if ctx.array is None:
-        raise ConfigError("delta_phi_mode 'ref_factor' needs an array block")
     return cfg.steering["value"] * ctx.reference_window()
 
 
@@ -96,7 +98,7 @@ def _require_window_sample(spec: SteeringSpec, n_points: int, key: str) -> None:
         )
 
 
-def write_manifest(path, cfg: RunConfig, command: str, extra: dict | None = None) -> None:
+def write_manifest(path, cfg: RunConfig, command: str) -> None:
     payload = {
         "tool": "cylris",
         "version": __version__,
@@ -108,8 +110,6 @@ def write_manifest(path, cfg: RunConfig, command: str, extra: dict | None = None
             "scipy": scipy.__version__,
         },
     }
-    if extra:
-        payload.update(extra)
     io.write_json(path, payload)
 
 

@@ -529,26 +529,36 @@ class TestSweepAndCompare:
             for name in names:
                 assert (sub / name).read_bytes() == (alone / name).read_bytes(), (sub.name, name)
 
-    def test_sweep_builds_each_table_once(self, tmp_path, monkeypatch):
-        """One reference window and one steering table per distinct grid, per sweep."""
+    @pytest.mark.parametrize(
+        "source, tables",
+        [("method_sweep", [361, 3601]), ("toy", [361, 721, 3601])],
+        ids=["method_sweep", "toy"],
+    )
+    def test_sweep_builds_each_table_once(self, tmp_path, monkeypatch, source, tables):
+        """One steering table per distinct grid, per sweep, and one reference
+        lobe, measured on the 3601-point table."""
         from cylris import discrete_model, pipeline
 
-        raw = yaml.safe_load((REPO / "configs" / "method_sweep.yaml").read_text())
-        raw["method"].update(population=20, generations=2)
-        raw["output"]["directory"] = str(tmp_path / "sweep")
+        if source == "method_sweep":
+            raw = yaml.safe_load((REPO / "configs" / "method_sweep.yaml").read_text())
+            raw["method"].update(population=20, generations=2)
+            raw["output"]["directory"] = str(tmp_path / "sweep")
+        else:
+            methods = ["es", "ga", "mpdr", "go_q"]
+            raw = toy_config(tmp_path / "sweep", method=methods, phi=[15.0, 30.0])
+            raw["method"].update(population=20, generations=2)
         cfg = parse_config(raw)
-        calls = {"steering_vector": [], "reference_window": 0}
-        steering_vector, reference_window = (
-            discrete_model.steering_vector, discrete_model.reference_window
-        )
+        calls = {"steering_vector": [], "reference_beamwidth": []}
+        steering_vector = discrete_model.steering_vector
+        reference_beamwidth = discrete_model.reference_beamwidth
 
         def counted_steering_vector(array, grid, *args, **kwargs):
             calls["steering_vector"].append(len(grid))
             return steering_vector(array, grid, *args, **kwargs)
 
-        def counted_reference_window(*args, **kwargs):
-            calls["reference_window"] += 1
-            return reference_window(*args, **kwargs)
+        def counted_reference_beamwidth(table, *args, **kwargs):
+            calls["reference_beamwidth"].append(len(table.grid))
+            return reference_beamwidth(table, *args, **kwargs)
 
         contexts = []
         run_single = pipeline.run_single
@@ -559,15 +569,14 @@ class TestSweepAndCompare:
 
         for module in (pipeline, discrete_model):
             monkeypatch.setattr(module, "steering_vector", counted_steering_vector)
-        monkeypatch.setattr(pipeline, "reference_window", counted_reference_window)
+        monkeypatch.setattr(pipeline, "reference_beamwidth", counted_reference_beamwidth)
         monkeypatch.setattr(pipeline, "run_single", recording_run_single)
         pipeline.run_sweep(cfg)
-        # objective, output and the reference window's own table
-        assert sorted(calls["steering_vector"]) == sorted(
-            [cfg.output["objective_grid_points"], cfg.output["grid_points"], 3601]
-        )
-        assert calls["reference_window"] == 1
-        assert len(contexts) == 15 and all(c is contexts[0] for c in contexts)
+        # objective, output and reference grids, each built once
+        assert sorted(calls["steering_vector"]) == tables
+        assert calls["reference_beamwidth"] == [3601]
+        n_cases = len(cfg.methods) * len(cfg.phi_o_deg)
+        assert len(contexts) == n_cases and all(c is contexts[0] for c in contexts)
         assert not contexts[0]._kept  # emptied when the sweep returns
 
     def test_sweep_calls_each_optimizer_through_its_module_attribute(self, tmp_path, monkeypatch):
@@ -725,6 +734,20 @@ def test_cos2_element_pattern_through_pipeline(tmp_path):
     assert run_cli(["synth", "-c", str(path)]) == 0
     manifest = json.loads((out / "manifest.json").read_text())
     assert manifest["config"]["array"]["element_pattern"] == "cos2"
+
+
+def test_cos2_window_is_the_cos2_reference_lobe(tmp_path):
+    """ref_factor scales the cophasal lobe of the configured array, element pattern included."""
+    from cylris import AngularGrid, build_array, reference_beamwidth, steering_vector
+    from cylris.pipeline import run_single
+
+    cfg = toy_config(tmp_path / "run", method="go_q")
+    cfg["array"]["element_pattern"] = "cos2"
+    out = run_single(parse_config(cfg))
+    array = build_array(CylinderGeometry(radius_m=0.12, freq_hz=3.6e9), 8, 0.038, "cos2")
+    lobe = reference_beamwidth(steering_vector(array, AngularGrid.uniform(3601)), 0.0, "null")
+    assert out["delta_phi_deg"] == pytest.approx(1.2 * np.degrees(lobe), rel=1e-12)
+    assert out["delta_phi_deg"] == pytest.approx(62.50, abs=0.005)
 
 
 def _limit_address_space():

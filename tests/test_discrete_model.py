@@ -21,6 +21,10 @@ from oracles import trapezoid_power
 K0R = 30.159289474462014
 
 
+def reference_table(array):
+    return steering_vector(array, AngularGrid.uniform(3601))
+
+
 class TestBuildArray:
     def test_single_element_centered(self, geom):
         arr = build_array(geom, 1, 0.038)
@@ -36,6 +40,10 @@ class TestBuildArray:
     def test_overlong_array_rejected(self, geom):
         with pytest.raises(ValueError):
             build_array(geom, 40, 0.038)
+
+    def test_unknown_element_pattern_rejected(self, geom):
+        with pytest.raises(ValueError, match="element_pattern"):
+            build_array(geom, 8, 0.038, element_pattern="cos3")
 
 
 class TestSteeringVector:
@@ -65,8 +73,9 @@ class TestSteeringVector:
         assert np.all(table.a[~outside] != 0)
 
     def test_cos2_pattern_scales_by_illumination(self, array30, obj_grid):
-        t1 = steering_vector(array30, obj_grid, "cos")
-        t2 = steering_vector(array30, obj_grid, "cos2")
+        assert array30.element_pattern == "cos"
+        t1 = steering_vector(array30, obj_grid)
+        t2 = steering_vector(build_array(array30.geom, 30, 0.038, "cos2"), obj_grid)
         scale = np.cos(array30.alphas)[None, :]
         assert np.allclose(t2.a, t1.a * scale, rtol=0, atol=1e-15)
 
@@ -136,20 +145,21 @@ class TestMetrics:
 class TestReferenceBeamwidth:
     def test_monotone_in_element_count(self, geom):
         widths = [
-            reference_beamwidth(build_array(geom, n, 0.038), np.radians(15.0))
+            reference_beamwidth(reference_table(build_array(geom, n, 0.038)), np.radians(15.0))
             for n in (10, 20, 30)
         ]
         assert widths[0] > widths[1] > widths[2]
 
     def test_golden_values_full_scale(self, array30):
         # frozen at the first verified run of this configuration
-        hp = np.degrees(reference_beamwidth(array30, np.radians(15.0), kind="half_power"))
-        nn = np.degrees(reference_beamwidth(array30, np.radians(15.0), kind="null"))
+        table = reference_table(array30)
+        hp = np.degrees(reference_beamwidth(table, np.radians(15.0), kind="half_power"))
+        nn = np.degrees(reference_beamwidth(table, np.radians(15.0), kind="null"))
         assert hp == pytest.approx(5.500486820252603, abs=1e-9)
         assert nn == pytest.approx(12.496528742015569, abs=1e-9)
 
     def test_default_window_is_twenty_percent_margin(self, array30):
-        ref = reference_beamwidth(array30, 0.0, kind="null")
+        ref = reference_beamwidth(reference_table(array30), 0.0, kind="null")
         assert reference_window(array30) == pytest.approx(1.2 * ref, rel=1e-12)
 
     def test_conjugate_phase_points_at_target(self, array30, fine_grid):

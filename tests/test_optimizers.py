@@ -109,7 +109,8 @@ class TestBuildSigma:
         [(0.0, "cos"), (47.0, "cos"), (178.0, "cos"), (47.0, "cos2")],  # 178: wraps +-pi
     )
     def test_sigma_s_matches_quad_oracle(self, array30, obj_grid, phi_o_deg, element_pattern):
-        table = steering_vector(array30, obj_grid, element_pattern)
+        array = build_array(array30.geom, 30, 0.038, element_pattern)
+        table = steering_vector(array, obj_grid)
         spec = SteeringSpec(phi_o=np.radians(phi_o_deg), delta_phi=np.radians(14.5))
         sig = build_sigma(table, spec)
         ref = sigma_s_quad(array30, spec, element_pattern)
@@ -518,8 +519,8 @@ class TestSllObjective:
         [(8, 0.12, 361, "cos"), (30, 0.4, 3601, "cos"), (30, 0.4, 361, "cos2")],
     )
     def test_matches_masked_ratio_oracle(self, n_elements, radius_m, grid_points, element_pattern):
-        array = build_array(CylinderGeometry(radius_m, 3.6e9), n_elements, 0.038)
-        table = steering_vector(array, AngularGrid.uniform(grid_points), element_pattern)
+        array = build_array(CylinderGeometry(radius_m, 3.6e9), n_elements, 0.038, element_pattern)
+        table = steering_vector(array, AngularGrid.uniform(grid_points))
         rng = np.random.default_rng(n_elements + grid_points)
         specs = [
             SteeringSpec(phi_o=rng.uniform(-np.pi, np.pi), delta_phi=rng.uniform(0.01, 2 * np.pi))
