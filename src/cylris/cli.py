@@ -97,7 +97,7 @@ def _load_synth_config(args: argparse.Namespace) -> RunConfig:
         if not manifest_path.exists():
             raise ConfigError(f"manifest not found: {manifest_path}")
         manifest = json.loads(manifest_path.read_text())
-        if "config" not in manifest:
+        if not isinstance(manifest, dict) or "config" not in manifest:
             raise ConfigError(f"{manifest_path}: no embedded config")
         return parse_config(manifest["config"])
     if not args.config:

@@ -28,7 +28,7 @@ METHOD_KEYS = {
     "go": ("shadow_model",),
     "es": ("budget", "workers"),
     "ga": ("population", "generations", "p_crossover", "p_mutation", "seed"),
-    "mpdr": ("psi_samples", "psi_refine"),
+    "mpdr": (),
     "go_q": (),
 }
 
@@ -78,8 +78,6 @@ SCHEMA = {
         "p_crossover": (float, 0.9, _UNIT),
         "p_mutation": (float, 0.05, _UNIT),
         "seed": (int, 0, _at_least(0)),
-        "psi_samples": (int, 360, _at_least(1)),
-        "psi_refine": (int, 0, _at_least(0)),
     },
     "output": {
         "directory": (str, "out", None),
@@ -89,8 +87,8 @@ SCHEMA = {
 }
 
 # accepted from old configs and manifests, no effect (Sigma is integrated
-# on no grid; runs record no clock)
-_RETIRED = {"output": ("sigma_grid_points", "timing")}
+# on no grid; runs record no clock; MPDR scores every distinct psi)
+_RETIRED = {"output": ("sigma_grid_points", "timing"), "method": ("psi_samples", "psi_refine")}
 
 # the sweep axes: config key -> RunConfig field
 _AXES = {"method.name": "methods", "steering.phi_o_deg": "phi_o_deg"}
@@ -201,7 +199,8 @@ def parse_config(raw: dict) -> RunConfig:
     if steer["delta_phi_mode"] == "absolute_deg" and given["steering"].get("value") is None:
         raise ConfigError("steering.value: required when delta_phi_mode = 'absolute_deg'")
     names = sections["method"].pop("name")
-    _check_unknown(given["method"], {"name"}.union(*(METHOD_KEYS[m] for m in names)), "method")
+    allowed = {"name", *_RETIRED["method"]}.union(*(METHOD_KEYS[m] for m in names))
+    _check_unknown(given["method"], allowed, "method")
     return _check_across(RunConfig(**sections, methods=names, phi_o_deg=steer.pop("phi_o_deg")))
 
 

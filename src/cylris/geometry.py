@@ -48,10 +48,6 @@ class CylinderGeometry:
             raise ValueError("freq_hz must be positive")
 
     @property
-    def wavelength_m(self) -> float:
-        return SPEED_OF_LIGHT / self.freq_hz
-
-    @property
     def k0(self) -> float:
         """Free-space wavenumber [rad/m]."""
         return 2.0 * np.pi * self.freq_hz / SPEED_OF_LIGHT

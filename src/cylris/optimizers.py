@@ -3,7 +3,7 @@
 * exhaustive search over the full state space (budget-guarded),
 * a seeded integer-chromosome genetic algorithm,
 * the closed-form minimum-power distortionless-response (MPDR) relaxation
-  with nearest-state projection and a 1D search over the constraint phase,
+  with nearest-state projection at every distinct constraint phase,
 * spatial sampling plus quantization of the geometrical-optics solution.
 
 Every optimizer is called as fn(table, spec, states, **params): the steering
@@ -202,51 +202,51 @@ def _objective_batch(patterns: np.ndarray, excl: np.ndarray) -> np.ndarray:
     return out
 
 
-def mpdr_synthesize(
-    table: SteeringVectorTable,
-    spec: SteeringSpec,
-    states,
-    psi_samples: int = 360,
-    psi_refine: int = 0,
-) -> SynthesisResult:
-    """Project the relaxed MPDR solution at each constraint phase psi and
-    keep the projection with the least exclusion-set power.
+def _psi_candidates(theta: np.ndarray, r: float, states: np.ndarray) -> np.ndarray:
+    """One psi per distinct projection of r exp(j(theta + psi)), ascending.
 
-    The overall amplitude does not move the projection for near-unimodular
-    states, so the constraint scalar is dropped and only psi is swept
-    (uniform grid over [-pi, pi), optionally refined around the minimum).
-    Every psi of a scan is projected in one `project_to_states` broadcast;
-    each candidate is then scored as g^H Sigma_S g in ascending psi, and the
-    first minimum wins. Fully deterministic. Of `table`, only the array is
-    read: Sigma and Sigma_S come from `build_sigma`.
+    Element n switches from state a to b where its point crosses their
+    bisector, 2 r |d| cos(theta_n + psi - beta) = |s_b|^2 - |s_a|^2 with
+    d = s_b - s_a = |d| exp(j beta); -pi and the midpoint of each interval
+    between crossings, up to pi, reach every projection.
     """
-    if psi_samples < 1 or psi_refine < 0:
-        raise ValueError(f"need psi_samples >= 1, psi_refine >= 0; got {psi_samples}, {psi_refine}")
+    a, b = np.triu_indices(states.shape[1], 1)
+    d = states[:, b] - states[:, a]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        c = (np.abs(states[:, b]) ** 2 - np.abs(states[:, a]) ** 2) / (2 * r * np.abs(d))
+    ok = np.abs(c) <= 1  # drops non-finite ratios and pairs whose bisector r never meets
+    base = (np.angle(d) - theta[:, None])[ok]
+    half = np.arccos(c[ok])
+    breaks = np.append(np.unique(wrap_angle(np.concatenate([base - half, base + half]))), np.pi)
+    return np.concatenate([[-np.pi], 0.5 * (breaks[:-1] + breaks[1:])])
+
+
+def mpdr_synthesize(table: SteeringVectorTable, spec: SteeringSpec, states) -> SynthesisResult:
+    """Project the relaxed MPDR solution at every distinct constraint phase
+    psi; keep the projection with the least exclusion-set power.
+
+    Only the phases of x = `mpdr_relaxed`(Sigma, a_o) are kept, times the
+    mean state magnitude, so the scale of Sigma moves no state. The
+    `_psi_candidates` are projected in one broadcast and scored as
+    g^H Sigma_S g in ascending psi; the first minimum wins. `evaluations`
+    is the candidate count. Of `table`, only the array is read.
+    """
+    states = np.asarray(states, dtype=complex)
     sig = build_sigma(table, spec)
     # exact steering vector at phi_o, not a grid snap
-    a_o = steering_vector_at(table.array, spec.phi_o)
-    x = _solve_sigma(sig.sigma, a_o.conj())
-
-    def scan(psis: np.ndarray) -> tuple:
-        values, idx = project_to_states(x[None, :] * np.exp(1j * psis)[:, None], states)
-        scores = [float((g.conj() @ (sig.sigma_s @ g)).real) for g in values]
-        k = int(np.argmin(scores))  # the first (lowest-psi) minimum
-        return scores[k], values[k], idx[k], float(psis[k])
-
-    best = scan(-np.pi + 2 * np.pi * np.arange(psi_samples) / psi_samples)
-    if psi_refine > 0:
-        step = 2 * np.pi / psi_samples
-        refined = scan(best[3] - step + 2 * step * np.arange(1, psi_refine + 1) / (psi_refine + 1))
-        if refined[0] < best[0]:
-            best = refined
-    score, values, idx, _ = best
+    theta = np.angle(mpdr_relaxed(sig, steering_vector_at(table.array, spec.phi_o)))
+    r = float(np.abs(states).mean())
+    psis = _psi_candidates(theta, r, states)
+    values, idx = project_to_states(r * np.exp(1j * (theta + psis[:, None])), states)
+    scores = [float((g.conj() @ (sig.sigma_s @ g)).real) for g in values]
+    k = int(np.argmin(scores))  # the first (lowest-psi) minimum
     return SynthesisResult(
         method="mpdr",
-        gamma=values,
-        state_indices=idx,
-        objective=score,
+        gamma=values[k],
+        state_indices=idx[k],
+        objective=scores[k],
         objective_kind="sidelobe_power",
-        evaluations=psi_samples + psi_refine,
+        evaluations=psis.size,
     )
 
 

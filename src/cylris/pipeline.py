@@ -9,6 +9,7 @@ clock.
 
 from __future__ import annotations
 
+import json
 import sys
 from dataclasses import replace
 from pathlib import Path
@@ -298,35 +299,53 @@ def _write_comparison_csv(path, comparison: dict) -> None:
     Path(path).write_text("\n".join(lines) + "\n")
 
 
-def compare_runs(run_dirs: list, outdir) -> dict:
-    """Merge previously written runs; geometries and grids must match."""
-    import json
+_METRIC_KEYS = ("peak_db", "peak_dir_deg", "sll_db", "beamwidth_deg", "target_level_db")
 
-    entries = []
-    fingerprints = set()
-    for d in run_dirs:
-        d = Path(d)
-        manifest = json.loads((d / "manifest.json").read_text())
-        met = json.loads((d / "metrics.json").read_text())
-        conf = manifest["config"]
-        fingerprints.add(
-            (
-                conf["geometry"]["radius_m"],
-                conf["geometry"]["freq_hz"],
-                json.dumps(conf.get("array"), sort_keys=True),
-                conf["output"]["grid_points"],
-            )
-        )
-        entries.append(
-            {
-                "method": conf["method"]["name"][0],
-                "phi_o_deg": conf["steering"]["phi_o_deg"][0],
-                "metrics": met,
-            }
-        )
-    if len(fingerprints) > 1:
+
+def _field(doc, path: Path, key: str):
+    """The value at the dotted `key` of a JSON document read from `path`;
+    a numeric part indexes a list."""
+    for part in key.split("."):
+        try:
+            doc = doc[int(part) if part.isdigit() else part]
+        except (KeyError, IndexError, TypeError):
+            raise ConfigError(f"{path}: missing key {key!r}") from None
+    return doc
+
+
+def _read_run(run_dir) -> tuple[tuple, dict]:
+    """The (settings fingerprint, comparison entry) of one written run."""
+    manifest_path, metrics_path = Path(run_dir) / "manifest.json", Path(run_dir) / "metrics.json"
+    manifest = json.loads(manifest_path.read_text())
+    met = json.loads(metrics_path.read_text())
+
+    def conf(key):
+        return _field(manifest, manifest_path, f"config.{key}")
+
+    fingerprint = (
+        conf("geometry.radius_m"),
+        conf("geometry.freq_hz"),
+        json.dumps(manifest["config"].get("array"), sort_keys=True),  # an optional block
+        conf("output.grid_points"),
+    )
+    entry = {
+        "method": conf("method.name.0"),
+        "phi_o_deg": conf("steering.phi_o_deg.0"),
+        "metrics": {key: _field(met, metrics_path, key) for key in _METRIC_KEYS},
+    }
+    return fingerprint, entry
+
+
+def compare_runs(run_dirs: list, outdir) -> dict:
+    """Merge previously written runs; geometries and grids must match.
+
+    A manifest or metrics file that lacks a key the comparison reads is a
+    ConfigError naming the file and the key.
+    """
+    runs = [_read_run(d) for d in run_dirs]
+    if len({fingerprint for fingerprint, _ in runs}) > 1:
         raise ConfigError("runs were produced with different geometry/array/grid settings")
-    comparison = build_comparison(entries)
+    comparison = build_comparison([entry for _, entry in runs])
     outdir = Path(outdir)
     outdir.mkdir(parents=True, exist_ok=True)
     io.write_json(outdir / "comparison.json", comparison)

@@ -163,35 +163,21 @@ def nearest_state_loop(g: np.ndarray, state_sets) -> tuple[np.ndarray, np.ndarra
     return out, idx
 
 
-def mpdr_scan_loop(x, sigma_s, state_sets, psi_samples: int, psi_refine: int = 0):
+def mpdr_scan_loop(x, sigma_s, state_sets, psi_samples: int):
     """The MPDR constraint-phase scan, one psi at a time in ascending order.
 
-    Projects x exp(j psi) for every psi of the uniform scan (then of the
-    refinement around the best one), scores g^H Sigma_S g and keeps the first
-    strict minimum. Returns (objective, state indices, psi, evaluations).
+    Projects x exp(j psi) for every psi of the uniform scan over [-pi, pi),
+    scores g^H Sigma_S g and keeps the first strict minimum. Returns
+    (objective, state indices, psi).
     """
-
-    def score(g):
-        return float((g.conj() @ (sigma_s @ g)).real)
-
     best = None
-    evaluations = 0
     for k in range(psi_samples):
         psi = -np.pi + 2 * np.pi * k / psi_samples
         g, idx = nearest_state_loop(x * np.exp(1j * psi), state_sets)
-        s = score(g)
-        evaluations += 1
+        s = float((g.conj() @ (sigma_s @ g)).real)
         if best is None or s < best[0]:
             best = (s, idx, psi)
-    step = 2 * np.pi / psi_samples
-    for j in range(psi_refine):
-        psi = best[2] - step + 2 * step * (j + 1) / (psi_refine + 1)
-        g, idx = nearest_state_loop(x * np.exp(1j * psi), state_sets)
-        s = score(g)
-        evaluations += 1
-        if s < best[0]:
-            best = (s, idx, psi)
-    return best[0], best[1], best[2], evaluations
+    return best
 
 
 def crossover_loop(children: np.ndarray, do_cross: np.ndarray, masks: np.ndarray) -> None:

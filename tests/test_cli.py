@@ -197,8 +197,48 @@ def _synth_argv(tmp_path, cfg):
     return ["synth", "-c", str(write_config(tmp_path, cfg))]
 
 
+# one hand-written run: the resolved toy config and a full metrics file
+_RUN_CONFIG = parse_config(toy_config("written")).resolved()
+_RUN_METRICS = {
+    "peak_db": 0.0, "peak_dir_deg": 20.0, "sll_db": -9.0, "beamwidth_deg": 20.0,
+    "target_level_db": 0.0,
+}
+
+
+def _compare_argv(manifest, metrics):
+    """`compare` on one run directory holding these manifest and metrics documents."""
+    def argv(tmp):
+        run = tmp / "written"
+        run.mkdir(parents=True)
+        (run / "manifest.json").write_text(json.dumps(manifest))
+        (run / "metrics.json").write_text(json.dumps(metrics))
+        return ["compare", str(run), "-o", str(tmp / "cmp")]
+
+    return argv
+
+
+def _replay_argv(manifest):
+    """`synth --from-manifest` on a manifest file holding this JSON document."""
+    def argv(tmp):
+        (tmp / "manifest.json").write_text(json.dumps(manifest))
+        return ["synth", "--from-manifest", str(tmp / "manifest.json"), "-o", str(tmp / "run")]
+
+    return argv
+
+
 BAD_INPUTS = {
     "compare_missing_run_dir": lambda tmp: ["compare", str(tmp / "missing"), "-o", str(tmp)],
+    "compare_manifest_without_config": _compare_argv({"tool": "cylris"}, _RUN_METRICS),
+    "compare_manifest_empty_method_list": _compare_argv(
+        {"config": {**_RUN_CONFIG, "method": {"name": []}}}, _RUN_METRICS
+    ),
+    "compare_metrics_without_target_level": _compare_argv(
+        {"config": _RUN_CONFIG},
+        {k: v for k, v in _RUN_METRICS.items() if k != "target_level_db"},
+    ),
+    "synth_manifest_5": _replay_argv(5),
+    "synth_manifest_null": _replay_argv(None),
+    "synth_manifest_string": _replay_argv("config"),
 }
 
 
@@ -270,8 +310,6 @@ KEYED_BAD_INPUTS = {
     ),
     "ga_population_1": (_with("method", "population", 1, "ga"), "method.population"),
     "p_mutation_2": (_with("method", "p_mutation", 2.0, "ga"), "method.p_mutation"),
-    "psi_samples_0": (_with("method", "psi_samples", 0, "mpdr"), "method.psi_samples"),
-    "psi_refine_-3": (_with("method", "psi_refine", -3, "mpdr"), "method.psi_refine"),
     "budget_-1": (_with("method", "budget", -1, "es"), "method.budget"),
     "budget_0": (_with("method", "budget", 0, "es"), "method.budget"),
     "seed_-1_yaml": (_with("method", "seed", -1, "ga"), "method.seed"),
@@ -321,6 +359,22 @@ def test_bad_input_exits_2_with_one_json_line(tmp_path, capsys, name):
     assert one_json_error(capsys)["code"] == 2
 
 
+@pytest.mark.parametrize(
+    "name, path, key",
+    [
+        ("compare_manifest_without_config", "manifest.json", "'config."),
+        ("compare_manifest_empty_method_list", "manifest.json", "'config.method.name.0'"),
+        ("compare_metrics_without_target_level", "metrics.json", "'target_level_db'"),
+    ],
+)
+def test_compare_names_the_file_and_the_missing_key(tmp_path, capsys, name, path, key):
+    assert run_cli(_compare_argv({"config": _RUN_CONFIG}, _RUN_METRICS)(tmp_path / "ok")) == 0
+    capsys.readouterr()
+    assert run_cli(BAD_INPUTS[name](tmp_path)) == 2
+    error = one_json_error(capsys)["error"]
+    assert str(tmp_path / "written" / path) in error and key in error
+
+
 def assert_replays(run_dir, replay_dir):
     """Replaying run_dir's manifest into replay_dir reproduces every artifact."""
     argv = ["synth", "--from-manifest", str(run_dir / "manifest.json"), "-o", str(replay_dir)]
@@ -349,7 +403,7 @@ class TestDeterminism:
         assert [d.name for d in subs] == ["ga_phi10", "ga_phi20", "mpdr_phi10", "mpdr_phi20"]
         for sub in subs:
             conf = json.loads((sub / "manifest.json").read_text())["config"]
-            assert ("psi_samples" in conf["method"]) == sub.name.startswith("mpdr")
+            assert ("population" in conf["method"]) == sub.name.startswith("ga")
             assert_replays(sub, tmp_path / "replay" / sub.name)
 
     def test_method_override_manifest_replays(self, tmp_path):
@@ -408,6 +462,29 @@ class TestDeterminism:
             output = json.loads((run / "manifest.json").read_text())["config"]["output"]
             output.pop("directory")
             assert output == expected
+
+    @pytest.mark.parametrize("source", ["config", "manifest"])
+    def test_retired_mpdr_keys_accepted_and_ignored(self, tmp_path, source):
+        """A config or an older manifest that still carries psi_samples and
+        psi_refine writes the same bytes as one without them, and the keys are
+        not written back."""
+        plain = tmp_path / "plain"
+        assert run_cli(["synth", "-c", str(write_config(tmp_path, toy_config(plain)))]) == 0
+        old = tmp_path / "old"
+        if source == "config":
+            cfg = toy_config(old)
+            cfg["method"].update(psi_samples=360, psi_refine=0)
+            argv = ["synth", "-c", str(write_config(tmp_path, cfg, "old.yaml"))]
+        else:
+            manifest = json.loads((plain / "manifest.json").read_text())
+            manifest["config"]["method"].update(psi_samples=360, psi_refine=0)
+            (tmp_path / "old_manifest.json").write_text(json.dumps(manifest))
+            argv = ["synth", "--from-manifest", str(tmp_path / "old_manifest.json"), "-o", str(old)]
+        assert run_cli(argv) == 0
+        for name in ("pattern.csv", "metrics.json", "result.json", "states.json"):
+            assert (plain / name).read_bytes() == (old / name).read_bytes(), name
+        method = json.loads((old / "manifest.json").read_text())["config"]["method"]
+        assert method == {"name": ["mpdr"]}
 
     def test_manifest_round_trip_byte_identical(self, tmp_path):
         out1 = tmp_path / "r1"
@@ -510,7 +587,7 @@ class TestSweepAndCompare:
 
         raw = toy_config(tmp_path / "sweep", method=["es", "ga", "mpdr", "go_q"])
         raw["steering"]["phi_o_deg"] = [12.0, 31.0]
-        raw["method"].update(population=30, generations=5, psi_refine=3)
+        raw["method"].update(population=30, generations=5)
         cfg = parse_config(raw)
         out = run_sweep(cfg)
         assert len(out["entries"]) == 8

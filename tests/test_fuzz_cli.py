@@ -58,8 +58,6 @@ KEYS = (
     ("method", "budget"),
     ("method", "workers"),
     ("method", "shadow_model"),
-    ("method", "psi_samples"),
-    ("method", "psi_refine"),
     ("output", "grid_points"),
     ("output", "objective_grid_points"),
 )

@@ -5,6 +5,7 @@ from cylris import (
     AngularGrid,
     BudgetExceededError,
     CylinderGeometry,
+    SigmaMatrices,
     StateTable,
     SteeringSpec,
     build_array,
@@ -204,35 +205,82 @@ class TestProjectToStates:
         assert np.array_equal(single_idx, idx[3])
 
 
+# the two-angle table of the CSV pipeline test: magnitudes 0.90-1.00
+TWO_ANGLE_TABLE = StateTable(
+    bits=1,
+    angles_deg=np.array([0.0, 80.0]),
+    states=np.array(
+        [[1.0, -1.0], [0.95 * np.exp(-1j * np.radians(20)), 0.9 * np.exp(1j * np.radians(120))]]
+    ),
+)
+MPDR_STATE_MODELS = {
+    "constant": ideal_one_bit("constant"),
+    "cosine": ideal_one_bit("cosine"),
+    "table": TWO_ANGLE_TABLE,
+}
+MPDR_ANGLES_DEG = np.random.default_rng(3).uniform(10.0, 75.0, 3)
+
+
+@pytest.fixture(scope="module")
+def mpdr_cases(array30, obj_grid):
+    table = steering_vector(array30, obj_grid)
+    window = reference_window(array30)
+    return table, [SteeringSpec(np.radians(deg), window) for deg in MPDR_ANGLES_DEG]
+
+
 class TestMpdrSynthesize:
-    @pytest.mark.parametrize("psi_samples, psi_refine", [(360, 0), (36, 19), (361, 7)])
-    def test_scan_matches_per_psi_loop_oracle(self, toy, toy_sigma, psi_samples, psi_refine):
-        """Same indices and objective, bit for bit, as scoring one psi at a time.
+    @pytest.mark.parametrize("model", MPDR_STATE_MODELS)
+    def test_never_worse_than_dense_scan_oracle(self, array30, mpdr_cases, model):
+        """At least as good as a 3600-sample scan of the same normalized solve,
+        one psi at a time, and the same states when the scores tie."""
+        table, specs = mpdr_cases
+        states = state_sets_for_array(MPDR_STATE_MODELS[model], array30)
+        for spec in specs:
+            res = mpdr_synthesize(table, spec, states)
+            sig = build_sigma(table, spec)
+            x = mpdr_relaxed(sig, steering_vector_at(array30, spec.phi_o))
+            u = np.abs(states).mean() * x / np.abs(x)
+            objective, idx, _ = mpdr_scan_loop(u, sig.sigma_s, states, 3600)
+            assert res.objective <= objective
+            if res.objective == objective:
+                assert np.array_equal(res.state_indices, idx)
+            assert res.evaluations <= 30 * 2 * 1 + 1
 
-        One-bit states are symmetric, so psi and psi + pi score exactly alike:
-        every even-sized scan has ties, and the first (lowest-psi) one must win.
-        """
-        table, sig = toy_sigma
-        res = mpdr_synthesize(
-            table, toy["spec"], toy["states"], psi_samples=psi_samples, psi_refine=psi_refine
-        )
-        a_o = steering_vector_at(toy["array"], toy["spec"].phi_o)
-        x = optimizers._solve_sigma(sig.sigma, a_o.conj())
-        objective, idx, _, evaluations = mpdr_scan_loop(
-            x, sig.sigma_s, toy["states"], psi_samples, psi_refine
-        )
-        assert res.objective == objective
-        assert np.array_equal(res.state_indices, idx)
-        assert res.evaluations == evaluations
+    @pytest.mark.parametrize("model", MPDR_STATE_MODELS)
+    def test_candidates_reach_every_scanned_projection(self, toy, toy_sigma, model):
+        """Every state vector a 7200-sample psi scan projects to is one of the candidates'."""
+        _, sig = toy_sigma
+        states = state_sets_for_array(MPDR_STATE_MODELS[model], toy["array"])
+        theta = np.angle(mpdr_relaxed(sig, steering_vector_at(toy["array"], toy["spec"].phi_o)))
+        r = np.abs(states).mean()
+        psis = optimizers._psi_candidates(theta, r, states)
+        assert psis.size <= 8 * 2 * 1 + 1 and np.all(np.diff(psis) > 0)
 
-    def test_full_scale_scan_matches_oracle(self, array30, sigma30):
-        table, spec, sig = sigma30
-        states = state_sets_for_array(ideal_one_bit("cosine"), array30)
-        res = mpdr_synthesize(table, spec, states, psi_refine=5)
-        x = optimizers._solve_sigma(sig.sigma, steering_vector_at(array30, spec.phi_o).conj())
-        objective, idx, _, _ = mpdr_scan_loop(x, sig.sigma_s, states, 360, 5)
-        assert res.objective == objective
-        assert np.array_equal(res.state_indices, idx)
+        def projections(psi):
+            _, idx = project_to_states(r * np.exp(1j * (theta + psi[:, None])), states)
+            return {tuple(row) for row in idx}
+
+        reached = projections(psis)
+        assert len(reached) == psis.size - 1  # -pi and the last midpoint share an interval
+        assert projections(-np.pi + 2 * np.pi * np.arange(7200) / 7200) <= reached
+
+    @pytest.mark.parametrize("scale", [1e-3, 1e3])
+    @pytest.mark.parametrize("model", MPDR_STATE_MODELS)
+    def test_states_do_not_depend_on_sigma_scale(
+        self, array30, mpdr_cases, monkeypatch, model, scale
+    ):
+        table, specs = mpdr_cases
+        states = state_sets_for_array(MPDR_STATE_MODELS[model], array30)
+        before = [mpdr_synthesize(table, spec, states).state_indices for spec in specs]
+        build = optimizers.build_sigma
+
+        def scaled(table, spec):
+            sig = build(table, spec)
+            return SigmaMatrices(sigma=scale * sig.sigma, sigma_s=scale * sig.sigma_s)
+
+        monkeypatch.setattr(optimizers, "build_sigma", scaled)
+        for spec, idx in zip(specs, before):
+            assert np.array_equal(mpdr_synthesize(table, spec, states).state_indices, idx)
 
     def test_psi_period_for_symmetric_one_bit(self, toy, toy_sigma):
         _, sig = toy_sigma
@@ -268,24 +316,6 @@ class TestMpdrSynthesize:
         es = exhaustive_search(toy["table"], toy["spec"], toy["states"])
         mpdr_ratio = sll_objective(toy["table"], toy["spec"], res.gamma)
         assert mpdr_ratio >= es.objective - 1e-12
-
-    @pytest.mark.parametrize("psi_samples, psi_refine", [(0, 0), (36, -3)])
-    def test_rejects_empty_scan(self, toy, toy_sigma, psi_samples, psi_refine):
-        table, sig = toy_sigma
-        with pytest.raises(ValueError, match="psi_samples"):
-            mpdr_synthesize(
-                table, toy["spec"], toy["states"],
-                psi_samples=psi_samples, psi_refine=psi_refine,
-            )
-
-    def test_refinement_never_worsens_score(self, toy, toy_sigma):
-        table, sig = toy_sigma
-        coarse = mpdr_synthesize(table, toy["spec"], toy["states"], psi_samples=36)
-        refined = mpdr_synthesize(
-            table, toy["spec"], toy["states"], psi_samples=36, psi_refine=19
-        )
-        assert refined.objective <= coarse.objective
-        assert refined.evaluations == coarse.evaluations + 19
 
 
 def _es_instance(n_elements, radius_m, phi_o_deg, model="constant", states_of=None, first=None):
