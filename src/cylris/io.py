@@ -9,11 +9,13 @@ from __future__ import annotations
 
 import json
 import math
+from functools import lru_cache
 from pathlib import Path
 
 import numpy as np
 
 from .exact_synth import ImpedanceProfile
+from .geometry import AngularGrid
 from .go_synth import GoProfile
 from .optimizers import SynthesisResult
 from .patterns import PatternGrid, PatternMetrics
@@ -22,16 +24,48 @@ __all__ = [
     "write_pattern_csv",
     "write_impedance_csv",
     "write_go_impedance_csv",
+    "write_comparison_csv",
     "write_metrics_json",
     "write_result_json",
+    "state_sets_text",
     "write_state_sets_json",
     "write_json",
     "read_pattern_csv",
 ]
 
+# Rows per `write` call of a CSV writer: the text of one chunk is built at a
+# time, never the whole file.
+CHUNK_ROWS = 512
+
 
 def _fmt(x: float) -> str:
     return repr(float(x))
+
+
+@lru_cache(maxsize=2)  # a run writes one reporting grid; two bound the memory held
+def _degree_cells(n_points: int) -> tuple:
+    """The phi_deg column of every n-point grid, which only `AngularGrid.uniform` builds."""
+    return tuple(map(repr, AngularGrid.uniform(n_points).degrees.tolist()))
+
+
+def _write_rows(path, header: str, columns: list) -> None:
+    """Write `header`, then row k joins the k-th cell of every column with commas.
+
+    A column is either a sequence of cell strings or a numeric array, whose
+    cells are the `repr` of its values (for a float array, `_fmt` of each).
+    """
+    p = Path(path)
+    p.parent.mkdir(parents=True, exist_ok=True)
+    with p.open("w") as fh:
+        fh.write(header + "\n")
+        for start in range(0, len(columns[0]), CHUNK_ROWS):
+            cells = [
+                map(repr, c[start : start + CHUNK_ROWS].tolist())
+                if isinstance(c, np.ndarray)
+                else c[start : start + CHUNK_ROWS]
+                for c in columns
+            ]
+            fh.write("\n".join(map(",".join, zip(*cells))) + "\n")
 
 
 def _json_default(o):
@@ -44,22 +78,25 @@ def _json_default(o):
     raise TypeError(f"not JSON serializable: {type(o)}")
 
 
-def write_json(path, payload: dict) -> None:
+def _json_text(payload: dict) -> str:
+    return json.dumps(payload, indent=2, sort_keys=True, default=_json_default) + "\n"
+
+
+def write_json(path, payload) -> None:
+    """Write `payload`, a dict or the text `_json_text` already made of one."""
     p = Path(path)
     p.parent.mkdir(parents=True, exist_ok=True)
-    with p.open("w") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True, default=_json_default)
-        fh.write("\n")
+    p.write_text(payload if isinstance(payload, str) else _json_text(payload))
 
 
 def write_pattern_csv(path, pattern: PatternGrid) -> None:
     """Columns: phi_deg, re_F, im_F, mag_db (peak-normalized)."""
-    mag_db = pattern.magnitude_db()
-    lines = ["phi_deg,re_F,im_F,mag_db"]
-    for phi, f, db in zip(pattern.grid.degrees, pattern.f, mag_db):
-        lines.append(f"{_fmt(phi)},{_fmt(f.real)},{_fmt(f.imag)},{_fmt(db)}")
-    Path(path).parent.mkdir(parents=True, exist_ok=True)
-    Path(path).write_text("\n".join(lines) + "\n")
+    f = pattern.f
+    _write_rows(
+        path,
+        "phi_deg,re_F,im_F,mag_db",
+        [_degree_cells(len(pattern.grid)), f.real, f.imag, pattern.magnitude_db()],
+    )
 
 
 def read_pattern_csv(path):
@@ -73,11 +110,12 @@ def read_pattern_csv(path):
 
 def _write_impedance_rows(path, profile, flags, flag_column: str) -> None:
     """Columns: phi_deg, re_Z_over_eta0, im_Z_over_eta0, then `flag_column` (0/1)."""
-    lines = [f"phi_deg,re_Z_over_eta0,im_Z_over_eta0,{flag_column}"]
-    for phi, z, flag in zip(profile.grid.degrees, profile.z_over_eta0, flags):
-        lines.append(f"{_fmt(phi)},{_fmt(z.real)},{_fmt(z.imag)},{int(flag)}")
-    Path(path).parent.mkdir(parents=True, exist_ok=True)
-    Path(path).write_text("\n".join(lines) + "\n")
+    z = profile.z_over_eta0
+    _write_rows(
+        path,
+        f"phi_deg,re_Z_over_eta0,im_Z_over_eta0,{flag_column}",
+        [_degree_cells(len(profile.grid)), z.real, z.imag, np.asarray(flags, dtype=int)],
+    )
 
 
 def write_impedance_csv(path, profile: ImpedanceProfile) -> None:
@@ -88,6 +126,32 @@ def write_impedance_csv(path, profile: ImpedanceProfile) -> None:
 def write_go_impedance_csv(path, profile: GoProfile) -> None:
     """Columns: phi_deg, re_Z_over_eta0, im_Z_over_eta0, singular_flag."""
     _write_impedance_rows(path, profile, profile.singular_mask, "singular_flag")
+
+
+COMPARISON_COLUMNS = (
+    "method",
+    "phi_o_deg",
+    "peak_db",
+    "sll_db",
+    "pointing_err_deg",
+    "beamwidth_deg",
+    "target_level_abs_db",
+    "target_level_norm_db",
+)
+
+
+def _cell(v) -> str:
+    return "" if v is None else (v if isinstance(v, str) else _fmt(v))
+
+
+def write_comparison_csv(path, comparison: dict) -> None:
+    """One row per comparison entry, in COMPARISON_COLUMNS; a None is an empty cell."""
+    rows = comparison["rows"]
+    _write_rows(
+        path,
+        ",".join(COMPARISON_COLUMNS),
+        [[_cell(r[c]) for r in rows] for c in COMPARISON_COLUMNS],
+    )
 
 
 def write_metrics_json(path, metrics: PatternMetrics) -> None:
@@ -103,8 +167,8 @@ def _objective_db(result: SynthesisResult) -> float | None:
     return scale * math.log10(v)
 
 
-def write_state_sets_json(path, array, state_sets, metadata: dict | None = None) -> None:
-    """Audit export of the per-element resolved state sets."""
+def state_sets_text(array, state_sets, metadata: dict | None = None) -> str:
+    """The states.json text: an audit export of the per-element resolved state sets."""
     payload = {
         "metadata": dict(metadata or {}),
         "elements": [
@@ -116,7 +180,12 @@ def write_state_sets_json(path, array, state_sets, metadata: dict | None = None)
             for n, states in enumerate(state_sets)
         ],
     }
-    write_json(path, payload)
+    return _json_text(payload)
+
+
+def write_state_sets_json(path, text: str) -> None:
+    """Write a `state_sets_text` export; a sweep makes the text once for all its cases."""
+    write_json(path, text)
 
 
 def write_result_json(path, result: SynthesisResult) -> None:

@@ -36,16 +36,18 @@ __all__ = ["run_single", "run_sweep", "build_comparison", "run_validation", "wri
 class _ArrayContext:
     """The per-array work of a run, built on first use and then kept.
 
-    Every case of a sweep shares one geometry, array and set of grid sizes,
-    so `run_sweep` hands one context to all of them: each steering table
-    (keyed by grid size) and the boresight reference window, measured on
-    the REFERENCE_GRID_POINTS table, are built once. `clear` drops the kept
+    Every case of a sweep shares one geometry, array, state model and set
+    of grid sizes, so `run_sweep` hands one context to all of them: each
+    steering table (keyed by grid size), the boresight reference window,
+    measured on the REFERENCE_GRID_POINTS table, and the per-element state
+    sets with their states.json text are built once. `clear` drops the kept
     arrays; the context rebuilds them on demand.
     """
 
     def __init__(self, cfg: RunConfig):
         self.geom = CylinderGeometry(**cfg.geometry)
         self.array = None if cfg.array is None else build_array(self.geom, **cfg.array)
+        self._meta_atom = cfg.meta_atom
         self._kept: dict = {}
 
     def _once(self, key, build):
@@ -65,14 +67,22 @@ class _ArrayContext:
             lambda: reference_beamwidth(self.table(REFERENCE_GRID_POINTS), 0.0, kind="null"),
         )
 
+    def state_sets(self) -> tuple[np.ndarray, str]:
+        """The (N, L) per-element state sets and their states.json text."""
+
+        def build():
+            spec = self._meta_atom
+            if spec["model"] == "table":
+                table = meta_atom.load_state_table(spec["table_path"])
+            else:
+                table = meta_atom.ideal_one_bit(taper=spec["model"])
+            states = meta_atom.state_sets_for_array(table, self.array)
+            return states, io.state_sets_text(self.array, states, table.metadata)
+
+        return self._once("states", build)
+
     def clear(self) -> None:
         self._kept.clear()
-
-
-def _state_table(cfg: RunConfig) -> meta_atom.StateTable:
-    if cfg.meta_atom["model"] == "table":
-        return meta_atom.load_state_table(cfg.meta_atom["table_path"])
-    return meta_atom.ideal_one_bit(taper=cfg.meta_atom["model"])
 
 
 def _delta_phi(cfg: RunConfig, ctx: _ArrayContext) -> float:
@@ -153,9 +163,8 @@ def _run_discrete(
 ):
     if method != "mpdr":  # mpdr scores on no grid
         _require_window_sample(spec, cfg.output["objective_grid_points"], "objective_grid_points")
-    state_table = _state_table(cfg)
-    states = meta_atom.state_sets_for_array(state_table, ctx.array)
-    io.write_state_sets_json(outdir / "states.json", ctx.array, states, state_table.metadata)
+    states, states_text = ctx.state_sets()
+    io.write_state_sets_json(outdir / "states.json", states_text)
     synthesize = getattr(optimizers, _OPTIMIZERS[method])
     table = ctx.table(cfg.output["objective_grid_points"])
     result = synthesize(table, spec, states, **cfg.params_for(method))
@@ -227,7 +236,7 @@ def run_sweep(cfg: RunConfig, outdir=None):
         ctx.clear()
     comparison = build_comparison(entries)
     io.write_json(outdir / "comparison.json", comparison)
-    _write_comparison_csv(outdir / "comparison.csv", comparison)
+    io.write_comparison_csv(outdir / "comparison.csv", comparison)
     write_manifest(outdir / "manifest.json", cfg, "sweep")
     return {"outdir": str(outdir), "comparison": comparison, "entries": entries}
 
@@ -274,29 +283,6 @@ def build_comparison(entries: list[dict]) -> dict:
         )
     rows.sort(key=lambda r: (r["method"], r["phi_o_deg"]))
     return {"reference_level_db": ref, "rows": rows}
-
-
-_COMPARISON_COLUMNS = (
-    "method",
-    "phi_o_deg",
-    "peak_db",
-    "sll_db",
-    "pointing_err_deg",
-    "beamwidth_deg",
-    "target_level_abs_db",
-    "target_level_norm_db",
-)
-
-
-def _write_comparison_csv(path, comparison: dict) -> None:
-    lines = [",".join(_COMPARISON_COLUMNS)]
-    for r in comparison["rows"]:
-        cells = []
-        for c in _COMPARISON_COLUMNS:
-            v = r[c]
-            cells.append("" if v is None else (v if isinstance(v, str) else repr(float(v))))
-        lines.append(",".join(cells))
-    Path(path).write_text("\n".join(lines) + "\n")
 
 
 _METRIC_KEYS = ("peak_db", "peak_dir_deg", "sll_db", "beamwidth_deg", "target_level_db")
@@ -349,7 +335,7 @@ def compare_runs(run_dirs: list, outdir) -> dict:
     outdir = Path(outdir)
     outdir.mkdir(parents=True, exist_ok=True)
     io.write_json(outdir / "comparison.json", comparison)
-    _write_comparison_csv(outdir / "comparison.csv", comparison)
+    io.write_comparison_csv(outdir / "comparison.csv", comparison)
     return comparison
 
 

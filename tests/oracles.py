@@ -11,13 +11,16 @@ sidelobe-ratio oracle (the library's former `sll_objective`) takes the
 exclusion-set maximum through a boolean-mask copy instead of row runs. The
 gemm search (the library's former kernel) scores whole enumeration batches
 by one matrix product instead of split sums, and Sigma_S is integrated entry
-by entry with adaptive `quad` instead of fixed Gauss-Legendre panels.
+by entry with adaptive `quad` instead of fixed Gauss-Legendre panels. The
+CSV writers (the library's former ones) build one line per row from numpy
+scalars, `repr(float(x))` per cell, and write the whole file in one call.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
+from pathlib import Path
 
 import mpmath as mp
 import numpy as np
@@ -258,3 +261,40 @@ def sigma_s_quad(array, spec, element_pattern: str = "cos") -> np.ndarray:
             out[n, m] = entry(n, m)
             out[m, n] = out[n, m].conjugate()
     return out
+
+
+def _fmt_cell(x) -> str:
+    return repr(float(x))
+
+
+def _write_lines(path, lines: list) -> None:
+    Path(path).parent.mkdir(parents=True, exist_ok=True)
+    Path(path).write_text("\n".join(lines) + "\n")
+
+
+def pattern_csv_loop(path, pattern) -> None:
+    """pattern.csv, one row at a time."""
+    lines = ["phi_deg,re_F,im_F,mag_db"]
+    for phi, f, db in zip(pattern.grid.degrees, pattern.f, pattern.magnitude_db()):
+        lines.append(f"{_fmt_cell(phi)},{_fmt_cell(f.real)},{_fmt_cell(f.imag)},{_fmt_cell(db)}")
+    _write_lines(path, lines)
+
+
+def impedance_csv_loop(path, profile, flags, flag_column: str) -> None:
+    """impedance.csv, one row at a time; `flags` is the pole or singular mask."""
+    lines = [f"phi_deg,re_Z_over_eta0,im_Z_over_eta0,{flag_column}"]
+    for phi, z, flag in zip(profile.grid.degrees, profile.z_over_eta0, flags):
+        lines.append(f"{_fmt_cell(phi)},{_fmt_cell(z.real)},{_fmt_cell(z.imag)},{int(flag)}")
+    _write_lines(path, lines)
+
+
+def comparison_csv_loop(path, comparison: dict, columns) -> None:
+    """comparison.csv, one row and one cell at a time; None is an empty cell."""
+    lines = [",".join(columns)]
+    for r in comparison["rows"]:
+        cells = []
+        for c in columns:
+            v = r[c]
+            cells.append("" if v is None else (v if isinstance(v, str) else repr(float(v))))
+        lines.append(",".join(cells))
+    _write_lines(path, lines)
