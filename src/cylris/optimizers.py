@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import functools
 import itertools
+import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
@@ -255,6 +256,13 @@ def mpdr_synthesize(table: SteeringVectorTable, spec: SteeringSpec, states) -> S
 _ES_CTX: dict = {}
 
 
+def _usable_cpus() -> int:
+    """CPUs this process may run on: its affinity mask where the OS has one."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
 def _es_init(p_lo, f_hi, excl):
     _ES_CTX.update(p_lo=p_lo, f_hi=f_hi, excl=excl)
 
@@ -314,8 +322,9 @@ def exhaustive_search(
     the other elements (f_hi) are built here with BLAS, and a pattern is
     then one elementwise sum f_hi[h] + P_lo. State sets closed under
     negation visit only the element-0 states that can win (about half).
-    `workers > 1` fans the high tuples out over processes that run no BLAS;
-    the ordered reduction keeps the result identical to a serial run.
+    `workers > 1` fans the high tuples out over processes that run no BLAS,
+    at most one per usable CPU and one per task; the ordered reduction keeps
+    the result identical to a serial run.
     `evaluations` is L^N, the size of the space covered.
     """
     if workers < 1 or batch < 1:
@@ -340,9 +349,10 @@ def exhaustive_search(
     p_lo = a[:, n_hi:] @ states[np.arange(n_hi, n_el), lo_idx].T  # (grid, L^n_lo)
     f_hi = states[np.arange(n_hi), hi_idx] @ a[:, :n_hi].T  # (high tuples, grid)
     excl = exclusion_set_mask(spec, table.grid)
-    step = -(-len(hi_idx) // (4 * workers))  # about four equal tasks per worker
+    n_proc = min(workers, _usable_cpus())
+    step = -(-len(hi_idx) // (4 * n_proc))  # about four equal tasks per process
     spans = [(s, min(s + step, len(hi_idx))) for s in range(0, len(hi_idx), step)]
-    n_proc = min(workers, len(spans))
+    n_proc = min(n_proc, len(spans))
     try:
         if n_proc > 1:
             with ProcessPoolExecutor(

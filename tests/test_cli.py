@@ -528,6 +528,8 @@ class TestDeterminism:
             return pool(**kwargs)
 
         monkeypatch.setattr(optimizers, "ProcessPoolExecutor", recording_pool)
+        # the pool size does not depend on this machine's CPU count
+        monkeypatch.setattr(optimizers.os, "sched_getaffinity", lambda pid: {0, 1})
         out, first = tmp_path / "run", tmp_path / "first"
         argv = ["sweep", "-c", str(write_config(tmp_path, raw)), "-o", str(out)]
         assert run_cli(argv + ["--workers", "1"]) == 0

@@ -398,10 +398,13 @@ class TestExhaustiveSearch:
         _, _, states = ES_INSTANCES[name]()
         assert optimizers._negation_representatives(states) == expected
 
-    def test_pool_capped_at_task_count(self, toy, monkeypatch):
-        seen = []
+    @staticmethod
+    def recording_pool(monkeypatch, cpus):
+        """Pool sizes and task counts asked for, with `cpus` usable CPUs and
+        a pool that runs the tasks in this process: it starts no process."""
+        seen, tasks = [], []
 
-        class RecordingPool:  # runs the tasks in this process; starts nothing
+        class RecordingPool:
             def __init__(self, max_workers, initializer, initargs):
                 seen.append(max_workers)
                 initializer(*initargs)
@@ -413,9 +416,15 @@ class TestExhaustiveSearch:
                 return False
 
             def map(self, fn, spans):
+                tasks.append(len(spans))
                 return map(fn, spans)
 
         monkeypatch.setattr(optimizers, "ProcessPoolExecutor", RecordingPool)
+        monkeypatch.setattr(optimizers.os, "sched_getaffinity", lambda pid: set(range(cpus)))
+        return seen, tasks
+
+    def test_pool_capped_at_task_count(self, toy, monkeypatch):
+        seen, _ = self.recording_pool(monkeypatch, cpus=1000)
         args = (toy["table"], toy["spec"], toy["states"])
         serial = exhaustive_search(*args, batch=2)
         for workers in (1000, 3):  # batch 2: 64 high tuples (element 0 halved)
@@ -423,6 +432,21 @@ class TestExhaustiveSearch:
             assert np.array_equal(res.state_indices, serial.state_indices)
         exhaustive_search(*args, workers=8)  # batch 1024: a single task, no pool
         assert seen == [64, 3]
+        assert optimizers._ES_CTX == {}
+
+    # batch 2: 64 high tuples, split into about four tasks per process
+    @pytest.mark.parametrize(
+        "cpus, pools, n_tasks", [(4, [4, 3], [16, 11]), (2, [2, 2], [8, 8]), (1, [], [])]
+    )
+    def test_pool_capped_at_usable_cpus(self, toy, monkeypatch, cpus, pools, n_tasks):
+        seen, tasks = self.recording_pool(monkeypatch, cpus)
+        args = (toy["table"], toy["spec"], toy["states"])
+        serial = exhaustive_search(*args, batch=2)
+        for workers in (10000, 3):
+            res = exhaustive_search(*args, workers=workers, batch=2)
+            assert np.array_equal(res.state_indices, serial.state_indices)
+            assert res.objective == serial.objective
+        assert (seen, tasks) == (pools, n_tasks)
         assert optimizers._ES_CTX == {}
 
     def test_context_empty_after_return_and_after_error(self, toy, monkeypatch):
