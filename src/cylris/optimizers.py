@@ -53,6 +53,9 @@ CONDITION_LIMIT = 1e12
 # width in units of 1/k0R.
 SIGMA_PANEL_NODES = 16
 SIGMA_PANEL_WIDTH = 8.0
+# Exhaustive search: every ES_PROBE_STRIDE-th exclusion-set row is probed
+# before a column is scored in full.
+ES_PROBE_STRIDE = 16
 
 
 @dataclass(frozen=True)
@@ -264,7 +267,11 @@ def _usable_cpus() -> int:
 
 
 def _es_init(p_lo, f_hi, excl):
-    _ES_CTX.update(p_lo=p_lo, f_hi=f_hi, excl=excl)
+    """Share the search tables; probe rows: the window, then every
+    ES_PROBE_STRIDE-th exclusion-set row."""
+    window = np.flatnonzero(~excl)
+    probe = np.concatenate([window, np.flatnonzero(excl)[::ES_PROBE_STRIDE]])
+    _ES_CTX.update(p_lo=p_lo, f_hi=f_hi, excl=excl, probe=probe, n_window=window.size)
 
 
 def _es_task(span: tuple[int, int]) -> tuple[float, int, int]:
@@ -272,17 +279,35 @@ def _es_task(span: tuple[int, int]) -> tuple[float, int, int]:
 
     Elementwise numpy only: the pattern of (h, every low tuple) is
     f_hi[h] + P_lo, scored column by column; the first minimum wins.
+    Probe and prune: once the best is finite, a column whose probed
+    sidelobe / exact window peak (`_es_init` rows) already reaches it cannot
+    win, as division rounds monotonically and the reduction is strict, so
+    it is never scored in full.
     """
     start, stop = span
     p_lo, f_hi, excl = _ES_CTX["p_lo"], _ES_CTX["f_hi"], _ES_CTX["excl"]
+    probe, n_window = _ES_CTX["probe"], _ES_CTX["n_window"]
     block = np.empty_like(p_lo)
+    rows = block[: probe.size]
     best = (np.inf, start, 0)
     for h in range(start, stop):
-        np.add(p_lo, f_hi[h][:, None], out=block)
-        vals = _objective_batch(block, excl)
+        if best[0] == np.inf:  # nothing to prune against yet
+            cols = range(p_lo.shape[1])
+            vals = _objective_batch(np.add(p_lo, f_hi[h][:, None], out=block), excl)
+        else:
+            np.take(p_lo, probe, axis=0, out=rows, mode="clip")  # "clip": no bounce buffer
+            rows += f_hi[h, probe][:, None]
+            mag = np.abs(rows)
+            main = mag[:n_window].max(axis=0, initial=0.0)
+            lb = mag[n_window:].max(axis=0, initial=0.0)  # <= the exclusion-set max
+            with np.errstate(divide="ignore", invalid="ignore"):  # 0/0 is nan: kept
+                cols = np.flatnonzero(~(lb / main >= best[0]))
+            if not cols.size:
+                continue
+            vals = _objective_batch(p_lo[:, cols] + f_hi[h][:, None], excl)
         i = int(np.argmin(vals))
         if vals[i] < best[0]:
-            best = (float(vals[i]), h, i)
+            best = (float(vals[i]), h, int(cols[i]))
     return best
 
 
@@ -324,7 +349,8 @@ def exhaustive_search(
     negation visit only the element-0 states that can win (about half).
     `workers > 1` fans the high tuples out over processes that run no BLAS,
     at most one per usable CPU and one per task; the ordered reduction keeps
-    the result identical to a serial run.
+    the result identical to a serial run. Each task scores in full only the
+    columns that a few probed grid rows cannot rule out (`_es_task`).
     `evaluations` is L^N, the size of the space covered.
     """
     if workers < 1 or batch < 1:

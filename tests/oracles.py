@@ -10,8 +10,10 @@ candidates, elements and pairs one at a time with plain Python loops. The
 sidelobe-ratio oracle (the library's former `sll_objective`) takes the
 exclusion-set maximum through a boolean-mask copy instead of row runs. The
 gemm search (the library's former kernel) scores whole enumeration batches
-by one matrix product instead of split sums, and Sigma_S is integrated entry
-by entry with adaptive `quad` instead of fixed Gauss-Legendre panels. The
+by one matrix product instead of split sums, the span oracle (the library's
+former `_es_task`) scores every column of every high tuple with no probe
+and prune, and Sigma_S is integrated entry by entry with adaptive `quad`
+instead of fixed Gauss-Legendre panels. The
 CSV writers (the library's former ones) build one line per row from numpy
 scalars, `repr(float(x))` per cell, and write the whole file in one call.
 """
@@ -27,6 +29,7 @@ import numpy as np
 from scipy.integrate import quad
 
 from cylris import exclusion_set_mask, steering_vector_at
+from cylris.optimizers import _objective_batch
 
 
 def bessel_j_series(m: int, x: float, dps: int = 50) -> float:
@@ -109,7 +112,9 @@ def brute_force_search(a_matrix: np.ndarray, excl: np.ndarray, state_sets) -> tu
 
     Enumerates state-index tuples with itertools.product (lexicographic) and
     evaluates each pattern with an explicit per-element accumulation loop.
-    Returns (best ratio, best index tuple); first minimum wins ties.
+    The ratio is inf for an all-zero pattern and 0.0 for an empty exclusion
+    set. Returns (best ratio, best index tuple); first minimum wins ties,
+    so the first tuple wins when every ratio is inf.
     """
     n_el = len(state_sets)
     best_val, best_idx = math.inf, None
@@ -118,10 +123,26 @@ def brute_force_search(a_matrix: np.ndarray, excl: np.ndarray, state_sets) -> tu
         for n in range(n_el):
             f += state_sets[n][idx[n]] * a_matrix[:, n]
         mag = np.abs(f)
-        ratio = mag[excl].max() / mag.max()
-        if ratio < best_val:
+        peak = mag.max()
+        ratio = mag[excl].max(initial=0.0) / peak if peak > 0 else math.inf
+        if best_idx is None or ratio < best_val:
             best_val, best_idx = float(ratio), idx
     return best_val, best_idx
+
+
+def es_task_full(p_lo: np.ndarray, f_hi: np.ndarray, excl: np.ndarray, span) -> tuple:
+    """Best (objective, high tuple, low tuple) over the high tuples of `span`,
+    every column of every f_hi[h] + P_lo scored; the first minimum wins."""
+    start, stop = span
+    block = np.empty_like(p_lo)
+    best = (np.inf, start, 0)
+    for h in range(start, stop):
+        np.add(p_lo, f_hi[h][:, None], out=block)
+        vals = _objective_batch(block, excl)
+        i = int(np.argmin(vals))
+        if vals[i] < best[0]:
+            best = (float(vals[i]), h, i)
+    return best
 
 
 def sll_ratio_masked(table, spec, gamma) -> float:

@@ -8,6 +8,7 @@ from cylris import (
     SigmaMatrices,
     StateTable,
     SteeringSpec,
+    SteeringVectorTable,
     build_array,
     build_sigma,
     conjugate_phase_excitation,
@@ -33,6 +34,7 @@ from oracles import (
     brute_force_search,
     crossover_loop,
     es_gemm_search,
+    es_task_full,
     exclusion_arc_power,
     mpdr_scan_loop,
     nearest_state_loop,
@@ -471,6 +473,117 @@ class TestExhaustiveSearch:
         parallel = exhaustive_search(toy["table"], toy["spec"], toy["states"], workers=2, batch=37)
         assert np.array_equal(serial.state_indices, parallel.state_indices)
         assert serial.objective == parallel.objective
+
+
+def _es_edge_case(name):
+    """Toy-array ES instances at the edges of the probe-and-prune bound."""
+
+    def build():
+        geom = CylinderGeometry(radius_m=0.12, freq_hz=3.6e9)
+        array = build_array(geom, 8, 0.038)
+        grid = AngularGrid.uniform(361)
+        table = steering_vector(array, grid)
+        states = state_sets_for_array(ideal_one_bit("constant"), array)
+        spec = SteeringSpec(phi_o=np.radians(20.0), delta_phi=reference_window(array))
+        if name == "exact_ties":
+            # small-integer entries make every pattern sum exact; with columns
+            # 3 and 7 copies of 2 and 6, swapped states tie bit for bit
+            rng = np.random.default_rng(1)
+            a = rng.integers(-8, 9, (361, 8)) + 1j * rng.integers(-8, 9, (361, 8))
+            a[:, 3], a[:, 7] = a[:, 2], a[:, 6]
+            table = SteeringVectorTable(grid=grid, a=a, array=array)
+        elif name == "all_zero_states":  # every ratio is inf
+            states = np.zeros_like(states)
+        elif name == "off_state_first":  # the first tuple alone is all zero
+            states[:, 0] = 0
+        elif name == "empty_exclusion_set":  # every ratio is 0
+            spec = SteeringSpec(phi_o=spec.phi_o, delta_phi=2 * np.pi)
+        elif name == "single_sample_window":  # the optimum is below 1 at 5.5 deg
+            spec = SteeringSpec(phi_o=grid.values[186], delta_phi=grid.spacing)
+        return table, spec, states
+
+    return build
+
+
+ES_EDGE_CASES = {
+    name: _es_edge_case(name)
+    for name in (
+        "exact_ties",
+        "all_zero_states",
+        "off_state_first",
+        "empty_exclusion_set",
+        "single_sample_window",
+    )
+}
+
+# 16 one-bit elements: 2^15 visited tuples, so at every batch each task
+# holds several high tuples and the pruned path runs.
+ES_CONSTANT16 = {
+    f"constant16_phi{d:g}": _es_instance(16, 0.4, d)
+    for d in np.random.default_rng(16).uniform(10.0, 75.0, 5).round(2)
+}
+
+BATCHES = (1, 2, 37, 1024)
+
+
+class TestProbeAndPrune:
+    @pytest.mark.parametrize("name", {**ES_INSTANCES, **ES_EDGE_CASES, **ES_CONSTANT16})
+    def test_every_span_matches_the_unpruned_oracle(self, name, monkeypatch):
+        table, spec, states = {**ES_INSTANCES, **ES_EDGE_CASES, **ES_CONSTANT16}[name]()
+        # batches 1 and 2 on 16 elements would take about 5 s per angle with
+        # the oracle; the smaller instances run them through the pruned path
+        batches = (37, 1024) if name in ES_CONSTANT16 else BATCHES
+        pruned, spans = optimizers._es_task, []
+
+        def checked(span):
+            ctx = optimizers._ES_CTX
+            got = pruned(span)
+            want = es_task_full(ctx["p_lo"], ctx["f_hi"], ctx["excl"], span)
+            assert (got[0].hex(), got[1:]) == (want[0].hex(), want[1:]), (batch, span)
+            spans.append(span)
+            return got
+
+        monkeypatch.setattr(optimizers, "_es_task", checked)
+        for batch in batches:
+            exhaustive_search(table, spec, states, batch=batch)
+        assert spans
+
+    @pytest.mark.parametrize("name", ES_EDGE_CASES)
+    def test_edge_cases_match_brute_force(self, name):
+        table, spec, states = ES_EDGE_CASES[name]()
+        excl = exclusion_set_mask(spec, table.grid)
+        ref_val, ref_idx = brute_force_search(table.a, excl, states)
+        for batch in BATCHES:
+            res = exhaustive_search(table, spec, states, batch=batch)
+            assert tuple(res.state_indices) == ref_idx, batch
+            assert res.objective == pytest.approx(ref_val, rel=1e-12)
+
+    def test_edge_cases_are_what_they_claim(self):
+        table, spec, states = ES_EDGE_CASES["exact_ties"]()
+        res = exhaustive_search(table, spec, states)
+        swapped = res.state_indices[[0, 1, 3, 2, 4, 5, 7, 6]]
+        assert not np.array_equal(swapped, res.state_indices)
+        assert sll_objective(table, spec, states[np.arange(8), swapped]) == res.objective
+        for name, objective in [("all_zero_states", np.inf), ("empty_exclusion_set", 0.0)]:
+            res = exhaustive_search(*ES_EDGE_CASES[name]())
+            assert res.objective == objective and not res.state_indices.any()
+        table, spec, _ = ES_EDGE_CASES["single_sample_window"]()
+        assert (~exclusion_set_mask(spec, table.grid)).sum() == 1
+
+    def test_pruning_scores_under_a_tenth_of_the_columns(self, monkeypatch):
+        full, scored = optimizers._objective_batch, []
+
+        def counting(patterns, excl):
+            scored.append(patterns.shape[1])
+            return full(patterns, excl)
+
+        monkeypatch.setattr(optimizers, "_objective_batch", counting)
+        # batch 64: 512 high tuples in four serial tasks, whose first tuples
+        # are scored in full (256 of the 2^15 columns; 4096 at batch 1024)
+        for name, build in ES_CONSTANT16.items():
+            scored.clear()
+            exhaustive_search(*build(), batch=64)
+            assert sum(scored) < 0.1 * 2**15, name
 
 
 class TestGa:
