@@ -174,8 +174,8 @@ def main(argv: list[str] | None = None) -> int:
         return _fail(exc, EXIT_BUDGET)
     except (NumericalError, np.linalg.LinAlgError, FloatingPointError) as exc:
         return _fail(exc, EXIT_NUMERICAL)
-    except (ConfigError, ValueError, OSError) as exc:
-        # after LinAlgError (a ValueError): other bad values and paths are bad input
+    except (ValueError, OSError) as exc:
+        # after LinAlgError (a ValueError): bad values (ConfigError too) and paths
         return _fail(exc, EXIT_CONFIG)
 
 

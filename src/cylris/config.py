@@ -1,7 +1,8 @@
 """Run configuration: one strict schema, YAML in degrees, radians inside.
 
 `SCHEMA` names each key once, with its type, default and rule. A YAML
-config, a manifest and a command-line override are all checked against it.
+config, a manifest, a command-line override and a library keyword
+(`checked`) are all checked against it.
 Unknown keys are rejected everywhere so a typo never silently falls back to
 a default. `resolved()` returns the fully defaulted dictionary that goes
 into the run manifest; feeding that dictionary back reproduces the run.
@@ -10,10 +11,9 @@ into the run manifest; feeding that dictionary back reproduces the run.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, replace
 from pathlib import Path
-
-import yaml
 
 from .errors import ConfigError
 
@@ -124,7 +124,7 @@ def _value(v, key: str, typ, default, rule):
         return values
     if isinstance(v, bool) != (typ is bool):  # bool is an int subclass; never coerce it
         raise ConfigError(f"{key}: expected {typ.__name__}, got {type(v).__name__}")
-    if typ is float and isinstance(v, int):
+    if typ is float and isinstance(v, numbers.Real):  # an int or a numpy scalar too
         v = float(v)
     if typ is float and isinstance(v, str):
         # YAML 1.1 reads exponents like 3.6e9 as strings; accept them anyway
@@ -132,7 +132,7 @@ def _value(v, key: str, typ, default, rule):
             v = float(v)
         except ValueError:
             pass
-    if typ is int and isinstance(v, float) and v.is_integer():
+    if typ is int and (isinstance(v, numbers.Integral) or isinstance(v, float) and v.is_integer()):
         v = int(v)
     if not isinstance(v, typ):
         raise ConfigError(f"{key}: expected {typ.__name__}, got {type(v).__name__}")
@@ -141,6 +141,26 @@ def _value(v, key: str, typ, default, rule):
     if rule is not None and not rule[1](v):
         raise ConfigError(f"{key}: must be {rule[0]}, got {v!r}")
     return v
+
+
+def checked(key: str, value=None):
+    """`value` checked against the `SCHEMA` entry of the dotted `key`; its default when None.
+
+    The one source of a library keyword's default and rule: a bad value
+    raises the ConfigError that the same value in a config would.
+    """
+    section, name = key.split(".")
+    return _value(value, key, *SCHEMA[section][name])
+
+
+def check_span(n_elements: int, arc_pitch_m: float, radius_m: float) -> None:
+    """Refuse an array whose arc reaches past the illuminated half."""
+    span = n_elements * arc_pitch_m / radius_m
+    if span >= math.pi:
+        raise ConfigError(
+            "array.n_elements: the array span exceeds the illuminated half: "
+            f"n_elements * arc_pitch_m / geometry.radius_m = {span:.3f} rad >= pi"
+        )
 
 
 @dataclass(frozen=True)
@@ -208,12 +228,7 @@ def _check_across(cfg: RunConfig) -> RunConfig:
     """`cfg`, once the rules that span several sections hold."""
     arr = cfg.array
     if arr is not None:
-        span = arr["n_elements"] * arr["arc_pitch_m"] / cfg.geometry["radius_m"]
-        if span >= math.pi:
-            raise ConfigError(
-                "array.n_elements: the array span exceeds the illuminated half: "
-                f"n_elements * arc_pitch_m / geometry.radius_m = {span:.3f} rad >= pi"
-            )
+        check_span(arr["n_elements"], arr["arc_pitch_m"], cfg.geometry["radius_m"])
     if cfg.meta_atom["model"] == "table" and not cfg.meta_atom["table_path"]:
         raise ConfigError("meta_atom.table_path: required when model = 'table'")
     discrete = set(cfg.methods) & set(DISCRETE_METHODS)
@@ -231,7 +246,7 @@ def override(cfg: RunConfig, key: str, value) -> RunConfig:
     span several sections (`--method es` needs an array block).
     """
     section, name = key.split(".")
-    value = _value(value, key, *SCHEMA[section][name])
+    value = checked(key, value)
     field = _AXES.get(key)
     changes = {field: value} if field else {section: {**getattr(cfg, section), name: value}}
     return _check_across(replace(cfg, **changes))
@@ -239,6 +254,8 @@ def override(cfg: RunConfig, key: str, value) -> RunConfig:
 
 def load_config(path) -> RunConfig:
     """Parse a YAML (or JSON, which is a YAML subset) config file."""
+    import yaml  # here, so that `import cylris` does not load it
+
     p = Path(path)
     if not p.exists():
         raise ConfigError(f"config file not found: {p}")

@@ -15,8 +15,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .config import check_span, checked
 from .geometry import AngularGrid, CylinderGeometry, phase_function, wrap_angle
-from .patterns import PatternGrid, first_null_width, half_power_width
+from .patterns import PatternGrid, first_null_width
 
 __all__ = [
     "ElementArray",
@@ -30,22 +31,25 @@ __all__ = [
     "reference_window",
 ]
 
-ELEMENT_PATTERNS = ("cos", "cos2")
 REFERENCE_GRID_POINTS = 3601  # grid on which `reference_window` measures the lobe
 
 
 @dataclass(frozen=True)
 class ElementArray:
-    """Element angles on the cylinder, centered on phi = 0, and their one element pattern."""
+    """Element angles on the cylinder, centered on phi = 0, and their one element pattern.
+
+    The pitch and the pattern obey their `array` config keys; the pattern
+    defaults to the key's default.
+    """
 
     geom: CylinderGeometry
     alphas: np.ndarray
     arc_pitch_m: float
-    element_pattern: str
+    element_pattern: str | None = None
 
     def __post_init__(self):
-        if self.element_pattern not in ELEMENT_PATTERNS:
-            raise ValueError(f"element_pattern must be one of {ELEMENT_PATTERNS}")
+        for name in ("arc_pitch_m", "element_pattern"):
+            object.__setattr__(self, name, checked(f"array.{name}", getattr(self, name)))
         a = np.asarray(self.alphas, dtype=float)
         if a.ndim != 1 or a.size < 1:
             raise ValueError("alphas must be a nonempty vector")
@@ -65,22 +69,16 @@ class ElementArray:
 
 
 def build_array(
-    geom: CylinderGeometry, n_elements: int, arc_pitch_m: float, element_pattern: str = "cos"
+    geom: CylinderGeometry, n_elements: int, arc_pitch_m: float, element_pattern: str | None = None
 ) -> ElementArray:
     """Uniform arc of n elements, pitch p along the arc, centered on phi = 0.
 
     alpha_n = (n - (N+1)/2) * p / R for n = 1..N. Raises when the arc would
-    extend into the shadow half.
+    extend into the shadow half (`config.check_span`).
     """
-    if n_elements < 1:
-        raise ValueError("n_elements must be >= 1")
-    if arc_pitch_m <= 0:
-        raise ValueError("arc_pitch_m must be positive")
-    if n_elements * arc_pitch_m / geom.radius_m >= np.pi:
-        raise ValueError(
-            "array span exceeds the illuminated half: "
-            f"N * p / R = {n_elements * arc_pitch_m / geom.radius_m:.3f} rad >= pi"
-        )
+    n_elements = checked("array.n_elements", n_elements)
+    arc_pitch_m = checked("array.arc_pitch_m", arc_pitch_m)
+    check_span(n_elements, arc_pitch_m, geom.radius_m)
     n = np.arange(1, n_elements + 1)
     alphas = (n - (n_elements + 1) / 2.0) * (arc_pitch_m / geom.radius_m)
     return ElementArray(geom, alphas, arc_pitch_m, element_pattern)
@@ -154,26 +152,18 @@ def conjugate_phase_excitation(array: ElementArray, phi_o: float) -> np.ndarray:
     return np.exp(-1j * phase_function(array.geom, phi_o, array.alphas))
 
 
-def reference_beamwidth(
-    table: SteeringVectorTable, phi_o: float, kind: str = "half_power"
-) -> float:
-    """Main-lobe width of the cophasal reference pattern pointed at phi_o, on `table`'s grid.
+def reference_beamwidth(table: SteeringVectorTable, phi_o: float) -> float:
+    """Null-to-null width of the cophasal reference lobe pointed at phi_o, on `table`'s grid.
 
-    kind="half_power" measures between the -3 dB crossings; kind="null"
-    measures null-to-null, i.e. the full lobe extent. The null-based width
-    evaluated at boresight is what the steering-window default is built on:
-    it is a steering-independent array property, and a protected window that
+    Evaluated at boresight, it is what the steering-window default is built
+    on: a steering-independent array property, and a protected window that
     covers the whole lobe keeps the sidelobe-ratio objective well posed.
     """
     pattern = far_field_discrete(table, conjugate_phase_excitation(table.array, phi_o))
-    if kind == "half_power":
-        return half_power_width(pattern)
-    if kind == "null":
-        return first_null_width(pattern)
-    raise ValueError("kind must be 'half_power' or 'null'")
+    return first_null_width(pattern)
 
 
-def reference_window(array: ElementArray, factor: float = 1.2) -> float:
-    """Default protected width: factor times the boresight null-based lobe width."""
+def reference_window(array: ElementArray, factor: float | None = None) -> float:
+    """Default protected width: factor (`steering.value`) times the boresight lobe width."""
     table = steering_vector(array, AngularGrid.uniform(REFERENCE_GRID_POINTS))
-    return factor * reference_beamwidth(table, 0.0, kind="null")
+    return checked("steering.value", factor) * reference_beamwidth(table, 0.0)

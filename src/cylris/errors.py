@@ -5,8 +5,9 @@ class CylrisError(Exception):
     """Base class for package errors."""
 
 
-class ConfigError(CylrisError):
-    """Invalid or inconsistent run configuration."""
+class ConfigError(CylrisError, ValueError):
+    """Invalid or inconsistent run configuration, or a library argument that
+    breaks its config key's rule."""
 
 
 class BudgetExceededError(CylrisError):

@@ -19,7 +19,6 @@ magnitude-normalized so the overall phase reference drops out.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -63,13 +62,6 @@ class ModalExpansion:
     def orders(self) -> np.ndarray:
         return np.arange(-self.order, self.order + 1)
 
-    def tail_ratio(self) -> float:
-        """max(|c_{-M}|, |c_M|) / max|c_m|; small once the expansion converged."""
-        mx = np.abs(self.coeffs).max()
-        if mx == 0:
-            return 0.0
-        return float(max(abs(self.coeffs[0]), abs(self.coeffs[-1])) / mx)
-
 
 @dataclass(frozen=True)
 class ImpedanceProfile:
@@ -93,19 +85,11 @@ class ImpedanceProfile:
         object.__setattr__(self, "pole_mask", m)
 
 
-def modal_coefficients(
-    geom: CylinderGeometry, phi_o: float, order: int | None = None
-) -> ModalExpansion:
-    """Coefficients c_m = exp(j m (phi_o - pi)) J_m(k0 R) / H_m(k0 R).
-
-    `order` defaults to the package truncation rule and must be at least
-    ceil(k0 R) to cover the propagating modal content.
-    """
+def modal_coefficients(geom: CylinderGeometry, phi_o: float) -> ModalExpansion:
+    """Coefficients c_m = exp(j m (phi_o - pi)) J_m(k0 R) / H_m(k0 R), m = -M..M,
+    with M = `specfun.truncation_order`(k0 R)."""
     x = geom.k0r
-    if order is None:
-        order = specfun.truncation_order(x)
-    if order < math.ceil(x):
-        raise ValueError(f"truncation order {order} is below ceil(k0R) = {math.ceil(x)}")
+    order = specfun.truncation_order(x)
     ms = np.arange(-order, order + 1)
     c = np.exp(1j * ms * (phi_o - np.pi)) * specfun.bessel_j(ms, x) / specfun.hankel2(ms, x)
     return ModalExpansion(c)
@@ -141,7 +125,7 @@ def _scattered_fields(geom: CylinderGeometry, expansion: ModalExpansion, grid: A
     """Scattered E_z and eta0 H_phi = -j dE_z/d(k0 r) at r = R, on `grid`."""
     order = expansion.order
     h = specfun.hankel2(np.arange(-order - 1, order + 2), geom.k0r)
-    dh = 0.5 * (h[:-2] - h[2:])  # the central recurrence of specfun.hankel2_prime
+    dh = 0.5 * (h[:-2] - h[2:])  # dH_m/dx = (H_{m-1} - H_{m+1}) / 2
     # exp(-j m (phi - pi/2)) = j^m exp(-j m phi)
     w = 1j ** (expansion.orders % 4) * expansion.coeffs
     return modal_sum(np.stack([w * h[1:-1], -1j * w * dh]), grid)

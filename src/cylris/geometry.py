@@ -13,6 +13,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .config import checked
+
 __all__ = [
     "SPEED_OF_LIGHT",
     "wrap_angle",
@@ -42,10 +44,8 @@ class CylinderGeometry:
     freq_hz: float
 
     def __post_init__(self):
-        if self.radius_m <= 0:
-            raise ValueError("radius_m must be positive")
-        if self.freq_hz <= 0:
-            raise ValueError("freq_hz must be positive")
+        for name in ("radius_m", "freq_hz"):
+            object.__setattr__(self, name, checked(f"geometry.{name}", getattr(self, name)))
 
     @property
     def k0(self) -> float:
@@ -86,10 +86,6 @@ class SteeringSpec:
             raise ValueError("delta_phi must be positive")
         object.__setattr__(self, "phi_o", float(wrap_angle(self.phi_o)))
         object.__setattr__(self, "delta_phi", float(self.delta_phi))
-
-    @classmethod
-    def from_degrees(cls, phi_o_deg: float, delta_phi_deg: float) -> "SteeringSpec":
-        return cls(np.radians(phi_o_deg), np.radians(delta_phi_deg))
 
     def warn_if_below_reference(self, reference_rad: float) -> None:
         if self.delta_phi < reference_rad:

@@ -20,6 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import specfun
+from .config import checked
 from .exact_synth import ModalExpansion, far_field_exact, required_grid_points
 from .geometry import AngularGrid, CylinderGeometry, incident_field, phase_function, wrap_angle
 from .patterns import PatternGrid
@@ -99,20 +100,20 @@ def far_field_po(
     gamma: np.ndarray,
     grid: AngularGrid,
     out_grid: AngularGrid | None = None,
-    shadow_model: str = "cancel",
+    shadow_model: str | None = None,
 ) -> PatternGrid:
     """Physical-optics far field of a prescribed reflection profile.
 
     The scattered surface field is Gamma(phi) E_i(R, phi) on the lit half
     (|phi| < pi/2). On the shadow half it is -E_i (shadow-cancellation
-    current, `shadow_model="cancel"`) or zero (`"none"`); the cancellation
-    variant is what produces the pronounced forward lobes near 180 degrees.
+    current, `shadow_model="cancel"`, the `method.shadow_model` default) or
+    zero (`"none"`); the cancellation variant is what produces the
+    pronounced forward lobes near 180 degrees.
     """
+    shadow_model = checked("method.shadow_model", shadow_model)
     gamma = np.asarray(gamma, dtype=complex)
     if gamma.shape != (len(grid),):
         raise ValueError("gamma must be sampled on the full-circle grid")
-    if shadow_model not in ("cancel", "none"):
-        raise ValueError("shadow_model must be 'cancel' or 'none'")
     phi = grid.values
     lit = np.abs(wrap_angle(phi)) < np.pi / 2
     e_i = incident_field(geom, geom.radius_m, phi)

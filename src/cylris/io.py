@@ -30,7 +30,6 @@ __all__ = [
     "state_sets_text",
     "write_state_sets_json",
     "write_json",
-    "read_pattern_csv",
 ]
 
 # Rows per `write` call of a CSV writer: the text of one chunk is built at a
@@ -97,15 +96,6 @@ def write_pattern_csv(path, pattern: PatternGrid) -> None:
         "phi_deg,re_F,im_F,mag_db",
         [_degree_cells(len(pattern.grid)), f.real, f.imag, pattern.magnitude_db()],
     )
-
-
-def read_pattern_csv(path):
-    """Read a pattern CSV back into (phi_deg, complex F, mag_db) arrays."""
-    rows = Path(path).read_text().strip().split("\n")
-    if rows[0] != "phi_deg,re_F,im_F,mag_db":
-        raise ValueError(f"{path}: unexpected header {rows[0]!r}")
-    data = np.array([[float(c) for c in r.split(",")] for r in rows[1:]])
-    return data[:, 0], data[:, 1] + 1j * data[:, 2], data[:, 3]
 
 
 def _write_impedance_rows(path, profile, flags, flag_column: str) -> None:

@@ -8,7 +8,8 @@
 
 Every optimizer is called as fn(table, spec, states, **params): the steering
 table, the steering spec, the (N, L) array of per-element state sets, and
-keyword parameters named as the `method` config keys. ES, GA and GO score
+keyword parameters named as the `method` config keys, whose defaults and
+rules are those keys' (`config.checked`). ES, GA and GO score
 candidates with the same sidelobe objective on the table's grid: the ratio
 of the largest pattern magnitude inside the exclusion set to the global
 peak. Results are deterministic given the RNG seed; exhaustive-search
@@ -25,6 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .config import checked
 from .discrete_model import (
     ElementArray,
     SteeringVectorTable,
@@ -47,7 +49,6 @@ __all__ = [
     "sll_objective",
 ]
 
-DEFAULT_ES_BUDGET = 2**24
 CONDITION_LIMIT = 1e12
 # Sigma quadrature: Gauss-Legendre nodes per panel, and the largest panel
 # width in units of 1/k0R.
@@ -148,19 +149,18 @@ def _solve_sigma(sigma: np.ndarray, rhs: np.ndarray) -> np.ndarray:
         raise NumericalError("sigma solve failed") from exc
 
 
-def mpdr_relaxed(
-    sig: SigmaMatrices, a_o: np.ndarray, rho: float = 1.0, psi: float = 0.0
-) -> np.ndarray:
+def mpdr_relaxed(sig: SigmaMatrices, a_o: np.ndarray) -> np.ndarray:
     """Closed-form relaxed minimizer of gamma^H Sigma gamma under
-    a_o^T gamma = rho exp(j psi): gamma = lambda Sigma^-1 a_o* exp(j psi)
-    with real lambda = rho / (a_o^T Sigma^-1 a_o*)."""
+    a_o^T gamma = 1: gamma = Sigma^-1 a_o* / (a_o^T Sigma^-1 a_o*).
+
+    The constraint rho exp(j psi) is met by rho exp(j psi) times this
+    gamma, as the problem is quadratic."""
     a_o = np.asarray(a_o, dtype=complex)
     x = _solve_sigma(sig.sigma, a_o.conj())
     denom = (a_o @ x).real
     if denom <= 0 or not np.isfinite(denom):
         raise NumericalError("degenerate steering vector: a_o^T Sigma^-1 a_o* <= 0")
-    lam = rho / denom
-    return lam * x * np.exp(1j * psi)
+    return (1.0 / denom) * x
 
 
 def project_to_states(gamma, states) -> tuple[np.ndarray, np.ndarray]:
@@ -334,8 +334,8 @@ def exhaustive_search(
     table: SteeringVectorTable,
     spec: SteeringSpec,
     states,
-    budget: int = DEFAULT_ES_BUDGET,
-    workers: int = 1,
+    budget: int | None = None,
+    workers: int | None = None,
     batch: int = 1024,
 ) -> SynthesisResult:
     """Global minimizer of the sidelobe ratio over the full state space.
@@ -353,8 +353,9 @@ def exhaustive_search(
     columns that a few probed grid rows cannot rule out (`_es_task`).
     `evaluations` is L^N, the size of the space covered.
     """
-    if workers < 1 or batch < 1:
-        raise ValueError(f"workers and batch must be >= 1, got {workers} and {batch}")
+    budget, workers = checked("method.budget", budget), checked("method.workers", workers)
+    if batch < 1:
+        raise ValueError(f"batch must be >= 1, got {batch}")
     states = np.asarray(states, dtype=complex)
     n_el, n_states = table.n_elements, states.shape[1]
     total = n_states**n_el
@@ -422,11 +423,11 @@ def ga_synthesize(
     table: SteeringVectorTable,
     spec: SteeringSpec,
     states,
-    population: int = 1000,
-    generations: int = 200,
-    p_crossover: float = 0.9,
-    p_mutation: float = 0.05,
-    seed: int = 0,
+    population: int | None = None,
+    generations: int | None = None,
+    p_crossover: float | None = None,
+    p_mutation: float | None = None,
+    seed: int | None = None,
 ) -> SynthesisResult:
     """Integer-chromosome GA for the sidelobe ratio (one gene per element).
 
@@ -434,14 +435,14 @@ def ga_synthesize(
     to a different random state, elitism of one. A single seeded generator
     drives every draw, so identical seeds give identical results.
     `history` holds the best objective of the initial population and after
-    each generation (generations + 1 values). The defaults are the
-    full-scale settings.
+    each generation (generations + 1 values). A parameter left out takes
+    its `method` config default, the full-scale setting.
     """
-    if population < 2 or generations < 0:
-        raise ValueError("population must be >= 2 and generations >= 0")
-    for p in (p_crossover, p_mutation):
-        if not 0.0 <= p <= 1.0:
-            raise ValueError("probabilities must lie in [0, 1]")
+    population = checked("method.population", population)
+    generations = checked("method.generations", generations)
+    p_crossover = checked("method.p_crossover", p_crossover)
+    p_mutation = checked("method.p_mutation", p_mutation)
+    seed = checked("method.seed", seed)
     states = np.asarray(states, dtype=complex)
     n_el, n_states = table.n_elements, states.shape[1]
     cols = np.arange(n_el)

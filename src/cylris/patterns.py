@@ -109,6 +109,29 @@ def interpolate_magnitude(pattern: PatternGrid, phi: float) -> float:
     return float(max(val, 0.0))
 
 
+def _lobe_width(mag: np.ndarray, step: float, edge) -> float:
+    """Width of the lobe around the peak of the magnitudes `mag`, `step` apart.
+
+    On each side, walk outward from the peak, a sample j -> k at a time
+    (cyclic), until edge(j, k) gives the fraction of that step at which the
+    lobe ends; NaN when no edge lies within one turn.
+    """
+    n = mag.size
+    i_pk = int(mag.argmax())
+
+    def offset(direction: int) -> float:
+        j = i_pk
+        for steps in range(n):
+            k = (j + direction) % n
+            t = edge(j, k)
+            if t is not None:
+                return (steps + t) * step
+            j = k
+        return np.nan
+
+    return offset(+1) + offset(-1)
+
+
 def half_power_width(pattern: PatternGrid) -> float:
     """Width of the main lobe between the -3 dB crossings around the peak.
 
@@ -116,27 +139,12 @@ def half_power_width(pattern: PatternGrid) -> float:
     crossing is missing on either side (pattern never falls below the level).
     """
     mag = pattern.magnitude
-    n = mag.size
-    i_pk = int(mag.argmax())
-    level = mag[i_pk] * 10.0 ** (-HALF_POWER_DROP_DB / 20.0)
-    step = pattern.grid.spacing
+    level = mag.max() * 10.0 ** (-HALF_POWER_DROP_DB / 20.0)
 
-    # walk outward in index space, counting steps from the peak
-    def crossing_offset(direction: int) -> float:
-        j = i_pk
-        steps = 0
-        while steps < n:
-            k = (j + direction) % n
-            if mag[k] < level:
-                t = (mag[j] - level) / (mag[j] - mag[k])
-                return (steps + t) * step
-            j = k
-            steps += 1
-        return np.nan
+    def crossing(j: int, k: int):
+        return (mag[j] - level) / (mag[j] - mag[k]) if mag[k] < level else None
 
-    right = crossing_offset(+1)
-    left = crossing_offset(-1)
-    return right + left
+    return _lobe_width(mag, pattern.grid.spacing, crossing)
 
 
 def first_null_width(pattern: PatternGrid) -> float:
@@ -147,23 +155,12 @@ def first_null_width(pattern: PatternGrid) -> float:
     lobe shoulders.
     """
     mag = pattern.magnitude
-    n = mag.size
-    i_pk = int(mag.argmax())
-    floor = mag[i_pk] * NULL_FLOOR_REL
-    step = pattern.grid.spacing
+    floor = mag.max() * NULL_FLOOR_REL
 
-    def null_offset(direction: int) -> float:
-        j = i_pk
-        steps = 0
-        while steps < n:
-            k = (j + direction) % n
-            if mag[k] >= mag[j] and mag[j] <= floor:
-                return steps * step
-            j = k
-            steps += 1
-        return np.nan
+    def null(j: int, k: int):
+        return 0 if mag[k] >= mag[j] and mag[j] <= floor else None
 
-    return null_offset(+1) + null_offset(-1)
+    return _lobe_width(mag, pattern.grid.spacing, null)
 
 
 def pattern_metrics(pattern: PatternGrid, spec: SteeringSpec) -> PatternMetrics:

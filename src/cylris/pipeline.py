@@ -18,7 +18,7 @@ import numpy as np
 import scipy
 
 from . import __version__, exact_synth, go_synth, io, meta_atom, optimizers, specfun
-from .config import RunConfig
+from .config import DISCRETE_METHODS, RunConfig
 from .discrete_model import (
     REFERENCE_GRID_POINTS,
     build_array,
@@ -64,7 +64,7 @@ class _ArrayContext:
         """The boresight null-based lobe width (`reference_window` at factor 1)."""
         return self._once(
             "reference",
-            lambda: reference_beamwidth(self.table(REFERENCE_GRID_POINTS), 0.0, kind="null"),
+            lambda: reference_beamwidth(self.table(REFERENCE_GRID_POINTS), 0.0),
         )
 
     def state_sets(self) -> tuple[np.ndarray, str]:
@@ -148,14 +148,11 @@ def _run_continuous(
     return pattern, m, None
 
 
-# method name -> optimizer. Looked up on the module at call time, so a
+# discrete method -> optimizer. Looked up on the module at call time, so a
 # wrapper bound to `optimizers.<name>` sees every call.
-_OPTIMIZERS = {
-    "es": "exhaustive_search",
-    "ga": "ga_synthesize",
-    "mpdr": "mpdr_synthesize",
-    "go_q": "go_quantized",
-}
+_OPTIMIZERS = dict(
+    zip(DISCRETE_METHODS, ("exhaustive_search", "ga_synthesize", "mpdr_synthesize", "go_quantized"))
+)
 
 
 def _run_discrete(
@@ -196,7 +193,7 @@ def run_single(cfg: RunConfig, outdir=None, command: str = "synth", _context=Non
         spec.warn_if_below_reference(ctx.reference_window())
     outdir = Path(outdir if outdir is not None else cfg.output["directory"])
     outdir.mkdir(parents=True, exist_ok=True)
-    run = _run_continuous if method in ("exact", "go") else _run_discrete
+    run = _run_discrete if method in DISCRETE_METHODS else _run_continuous
     pattern, m, result = run(cfg, ctx, method, phi_o, spec, outdir)
     write_manifest(outdir / "manifest.json", cfg, command)
     return {

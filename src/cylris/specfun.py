@@ -26,7 +26,6 @@ __all__ = [
     "bessel_j_prime",
     "bessel_y_prime",
     "hankel2",
-    "hankel2_prime",
     "jacobi_anger",
     "truncation_order",
 ]
@@ -96,12 +95,6 @@ def bessel_y_prime(m, x):
 def hankel2(m, x):
     """Hankel function of the second kind, H_m(x) = J_m(x) - j Y_m(x)."""
     return bessel_j(m, x) - 1j * bessel_y(m, x)
-
-
-def hankel2_prime(m, x):
-    """dH_m/dx via the central recurrence (H_{m-1} - H_{m+1})/2."""
-    m = np.asarray(m)
-    return 0.5 * (hankel2(m - 1, x) - hankel2(m + 1, x))
 
 
 def truncation_order(x: float) -> int:

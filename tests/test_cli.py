@@ -1,6 +1,6 @@
-import inspect
 import json
 import os
+import pickle
 import resource
 import subprocess
 import sys
@@ -10,9 +10,9 @@ import numpy as np
 import pytest
 import yaml
 
-from cylris import CylinderGeometry, go_synth, optimizers, specfun
+from cylris import AngularGrid, CylinderGeometry, build_array, go_synth, optimizers, specfun
 from cylris.cli import main
-from cylris.config import METHOD_KEYS, SCHEMA, load_config, parse_config
+from cylris.config import _REQUIRED, METHOD_KEYS, SCHEMA, load_config, parse_config
 from cylris.errors import ConfigError
 
 
@@ -60,19 +60,6 @@ class TestConfigParsing:
         with pytest.raises(ConfigError, match="extras"):
             parse_config(cfg)
 
-    def test_method_defaults_match_the_library(self):
-        """Each method key's schema default is its library keyword's default."""
-        library = {
-            "go": go_synth.far_field_po,
-            "es": optimizers.exhaustive_search,
-            "ga": optimizers.ga_synthesize,
-            "mpdr": optimizers.mpdr_synthesize,
-        }
-        for method, fn in library.items():
-            params = inspect.signature(fn).parameters
-            for key in METHOD_KEYS[method]:
-                assert SCHEMA["method"][key][1] == params[key].default, (method, key)
-
     def test_missing_required_field(self, tmp_path):
         cfg = toy_config(tmp_path / "out")
         del cfg["geometry"]["freq_hz"]
@@ -95,6 +82,65 @@ class TestConfigParsing:
         cfg = load_config(path)
         assert cfg.methods == ("mpdr",)
         assert cfg.phi_o_deg == (20.0,)
+
+
+# every config key that a library call also takes as a keyword
+LIBRARY_KEYS = [f"method.{name}" for names in METHOD_KEYS.values() for name in names] + [
+    f"{section}.{name}" for section in ("geometry", "array") for name in SCHEMA[section]
+]
+# a value that breaks each key's rule
+OUT_OF_RULE = {
+    "method.shadow_model": "mirror",
+    "method.budget": 0,
+    "method.workers": 0,
+    "method.population": 1,
+    "method.generations": -1,
+    "method.p_crossover": 1.5,
+    "method.p_mutation": -0.1,
+    "method.seed": -1,
+    "geometry.radius_m": -0.12,
+    "geometry.freq_hz": 0.0,
+    "array.n_elements": 0,
+    "array.arc_pitch_m": -0.038,
+    "array.element_pattern": "cos3",
+}
+
+
+def library_call(key, toy, **kwargs):
+    """The toy-sized library call that takes `key` as a keyword, given `kwargs`."""
+    section, name = key.split(".")
+    if section == "geometry":
+        return CylinderGeometry(**{"radius_m": 0.12, "freq_hz": 3.6e9, **kwargs})
+    if section == "array":
+        return build_array(toy["geom"], **{"n_elements": 8, "arc_pitch_m": 0.038, **kwargs})
+    if name == "shadow_model":
+        grid = AngularGrid.uniform(256)
+        gamma = go_synth.go_reflection(toy["geom"], toy["spec"].phi_o, grid.values)
+        return go_synth.far_field_po(toy["geom"], gamma, grid, **kwargs)
+    args = toy["table"], toy["spec"], toy["states"]
+    if name in METHOD_KEYS["es"]:
+        return optimizers.exhaustive_search(*args, **kwargs)
+    small = {k: v for k, v in {"population": 8, "generations": 2}.items() if k != name}
+    return optimizers.ga_synthesize(*args, **small, **kwargs)
+
+
+@pytest.mark.parametrize("key", LIBRARY_KEYS)
+def test_library_keywords_follow_the_schema(key, toy, tmp_path):
+    """A left-out keyword acts as its SCHEMA default, and a bad value fails as in a config."""
+    section, name = key.split(".")
+    default = SCHEMA[section][name][1]
+    if default is not _REQUIRED:
+        left_out = library_call(key, toy)
+        assert pickle.dumps(left_out) == pickle.dumps(library_call(key, toy, **{name: default}))
+    method = next((m for m, names in METHOD_KEYS.items() if name in names), "mpdr")
+    raw = toy_config(tmp_path, method=method)
+    raw[section][name] = OUT_OF_RULE[key]
+    with pytest.raises(ConfigError) as from_config:
+        parse_config(raw)
+    with pytest.raises(ConfigError) as from_library:
+        library_call(key, toy, **{name: OUT_OF_RULE[key]})
+    assert str(from_library.value) == str(from_config.value)
+    assert str(from_config.value).startswith(f"{key}: must be")
 
 
 class TestSynthCommand:
@@ -824,7 +870,7 @@ def test_cos2_window_is_the_cos2_reference_lobe(tmp_path):
     cfg["array"]["element_pattern"] = "cos2"
     out = run_single(parse_config(cfg))
     array = build_array(CylinderGeometry(radius_m=0.12, freq_hz=3.6e9), 8, 0.038, "cos2")
-    lobe = reference_beamwidth(steering_vector(array, AngularGrid.uniform(3601)), 0.0, "null")
+    lobe = reference_beamwidth(steering_vector(array, AngularGrid.uniform(3601)), 0.0)
     assert out["delta_phi_deg"] == pytest.approx(1.2 * np.degrees(lobe), rel=1e-12)
     assert out["delta_phi_deg"] == pytest.approx(62.50, abs=0.005)
 

@@ -3,6 +3,7 @@ import pytest
 
 from cylris import (
     AngularGrid,
+    CylinderGeometry,
     SteeringSpec,
     build_array,
     conjugate_phase_excitation,
@@ -13,8 +14,9 @@ from cylris import (
     steering_vector_at,
     wrap_angle,
 )
-from cylris.io import read_pattern_csv, write_pattern_csv
-from cylris.patterns import PatternGrid, pattern_metrics
+from cylris.errors import ConfigError
+from cylris.io import write_pattern_csv
+from cylris.patterns import PatternGrid, half_power_width, pattern_metrics
 
 from oracles import trapezoid_power
 
@@ -23,6 +25,13 @@ K0R = 30.159289474462014
 
 def reference_table(array):
     return steering_vector(array, AngularGrid.uniform(3601))
+
+
+def half_power_reference_width(table, phi_o):
+    """Half-power width of the cophasal reference lobe pointed at phi_o."""
+    return half_power_width(
+        far_field_discrete(table, conjugate_phase_excitation(table.array, phi_o))
+    )
 
 
 class TestBuildArray:
@@ -36,6 +45,16 @@ class TestBuildArray:
         span = np.degrees(array30.alphas[-1] - array30.alphas[0])
         assert span == pytest.approx(157.84987255854176, rel=1e-12)
         assert np.degrees(np.abs(array30.alphas).max()) < 90.0
+
+    def test_numpy_scalars_act_as_python_numbers(self, array30):
+        geom = CylinderGeometry(radius_m=np.float64(0.4), freq_hz=np.int64(3_600_000_000))
+        arr = build_array(geom, np.int64(30), np.float64(0.038))
+        assert arr.geom == array30.geom
+        assert np.array_equal(arr.alphas, array30.alphas)
+
+    def test_nan_pitch_is_refused(self, geom):
+        with pytest.raises(ConfigError, match="^array.arc_pitch_m: must be finite"):
+            build_array(geom, 8, float("nan"))
 
     def test_overlong_array_rejected(self, geom):
         with pytest.raises(ValueError):
@@ -130,7 +149,8 @@ class TestMetrics:
         m = pattern_metrics(p, spec)
         path = tmp_path / "pattern.csv"
         write_pattern_csv(path, p)
-        phi_deg, f, mag_db = read_pattern_csv(path)
+        rows = np.loadtxt(path, delimiter=",", skiprows=1)
+        phi_deg, f, mag_db = rows[:, 0], rows[:, 1] + 1j * rows[:, 2], rows[:, 3]
         mag = np.abs(f)
         i_pk = mag.argmax()
         # sample-level recompute agrees with the (sub-sample refined) metrics
@@ -145,7 +165,9 @@ class TestMetrics:
 class TestReferenceBeamwidth:
     def test_monotone_in_element_count(self, geom):
         widths = [
-            reference_beamwidth(reference_table(build_array(geom, n, 0.038)), np.radians(15.0))
+            half_power_reference_width(
+                reference_table(build_array(geom, n, 0.038)), np.radians(15.0)
+            )
             for n in (10, 20, 30)
         ]
         assert widths[0] > widths[1] > widths[2]
@@ -153,13 +175,13 @@ class TestReferenceBeamwidth:
     def test_golden_values_full_scale(self, array30):
         # frozen at the first verified run of this configuration
         table = reference_table(array30)
-        hp = np.degrees(reference_beamwidth(table, np.radians(15.0), kind="half_power"))
-        nn = np.degrees(reference_beamwidth(table, np.radians(15.0), kind="null"))
+        hp = np.degrees(half_power_reference_width(table, np.radians(15.0)))
+        nn = np.degrees(reference_beamwidth(table, np.radians(15.0)))
         assert hp == pytest.approx(5.500486820252603, abs=1e-9)
         assert nn == pytest.approx(12.496528742015569, abs=1e-9)
 
     def test_default_window_is_twenty_percent_margin(self, array30):
-        ref = reference_beamwidth(reference_table(array30), 0.0, kind="null")
+        ref = reference_beamwidth(reference_table(array30), 0.0)
         assert reference_window(array30) == pytest.approx(1.2 * ref, rel=1e-12)
 
     def test_conjugate_phase_points_at_target(self, array30, fine_grid):

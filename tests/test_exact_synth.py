@@ -97,13 +97,9 @@ class TestModalCoefficients:
         c = e.coeffs
         assert np.allclose(c, c[::-1], rtol=1e-12, atol=1e-300)
 
-    def test_order_guard(self, geom):
-        with pytest.raises(ValueError):
-            modal_coefficients(geom, 0.0, order=10)
-
     def test_tail_decays(self, geom):
-        e = modal_coefficients(geom, np.radians(15.0))
-        assert e.tail_ratio() < 1e-8
+        c = np.abs(modal_coefficients(geom, np.radians(15.0)).coeffs)
+        assert max(c[0], c[-1]) / c.max() < 1e-8
 
     @pytest.mark.parametrize("deg", (15.0, 45.0, 75.0))
     def test_surface_field_reconstruction(self, geom, deg):
@@ -214,7 +210,7 @@ def test_metrics_of_exact_pattern(geom):
     grid = AngularGrid.uniform(3601)
     e = modal_coefficients(geom, np.radians(45.0))
     p = far_field_exact(e, grid)
-    spec = SteeringSpec.from_degrees(45.0, 14.5)
+    spec = SteeringSpec(np.radians(45.0), np.radians(14.5))
     m = pattern_metrics(p, spec)
     assert abs(np.degrees(m.peak_dir_rad) - 45.0) <= 2.0
     assert m.sll_db < 0

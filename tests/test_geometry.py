@@ -9,6 +9,7 @@ from cylris import (
     incident_field,
     wrap_angle,
 )
+from cylris.errors import ConfigError
 from cylris.geometry import SPEED_OF_LIGHT
 
 
@@ -16,6 +17,11 @@ def test_electrical_radius_derived(geom):
     expected = 2 * np.pi * 3.6e9 / SPEED_OF_LIGHT * 0.4
     assert geom.k0r == pytest.approx(expected, rel=1e-15)
     assert geom.k0r == pytest.approx(30.159289474462014, rel=1e-12)
+
+
+def test_nan_radius_is_refused():
+    with pytest.raises(ConfigError, match="^geometry.radius_m: must be finite"):
+        CylinderGeometry(radius_m=float("nan"), freq_hz=3.6e9)
 
 
 def test_geometry_validation():
@@ -92,7 +98,7 @@ class TestExclusionMask:
         assert np.array_equal(mask, expected)
 
     def test_wraparound_window(self, fine_grid):
-        spec = SteeringSpec.from_degrees(170.0, 40.0)
+        spec = SteeringSpec(np.radians(170.0), np.radians(40.0))
         mask = exclusion_set_mask(spec, fine_grid)
         idx = fine_grid.nearest_index(np.radians(-175.0))
         assert not mask[idx]  # -175 deg is inside the wrapped main-beam window

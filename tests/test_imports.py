@@ -1,4 +1,5 @@
-"""Import weight: only the Bessel-function paths load `scipy.special`.
+"""Import weight: only the Bessel-function paths load `scipy.special`, and
+only `load_config` loads `yaml`.
 
 Each check runs in a fresh interpreter, so no module this test session has
 already imported can hide or cause the load.
@@ -64,3 +65,13 @@ def test_exact_run_and_validation_load_scipy_special(tmp_path):
     """
     assert run_fresh(tmp_path, script, "exact").split() == ["True", "True"]
     assert (tmp_path / "exact" / "impedance.csv").is_file()
+
+
+def test_import_cylris_loads_neither_yaml_nor_scipy_special():
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([str(REPO / "src"), *sys.path])}
+    script = "import sys, cylris; print('yaml' in sys.modules, 'scipy.special' in sys.modules)"
+    proc = subprocess.run(
+        [sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=120
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["False", "False"]
