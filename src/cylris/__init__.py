@@ -27,7 +27,6 @@ from .go_synth import (
     expansion_from_surface_field,
     far_field_po,
     go_impedance,
-    go_reflection,
 )
 from .discrete_model import (
     ElementArray,
@@ -44,7 +43,6 @@ from .meta_atom import (
     StateTable,
     ideal_one_bit,
     load_state_table,
-    state_set_for_element,
     state_sets_for_array,
 )
 from .optimizers import (

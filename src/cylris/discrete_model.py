@@ -53,7 +53,7 @@ class ElementArray:
         a = np.asarray(self.alphas, dtype=float)
         if a.ndim != 1 or a.size < 1:
             raise ValueError("alphas must be a nonempty vector")
-        if np.any(np.abs(a) >= np.pi / 2):
+        if not np.all(np.abs(a) < np.pi / 2):  # NaN fails too
             raise ValueError("all elements must sit on the illuminated half (|alpha| < pi/2)")
         if a.size > 1:
             d = np.diff(a)

@@ -27,7 +27,6 @@ from .patterns import PatternGrid
 
 __all__ = [
     "GoProfile",
-    "go_reflection",
     "go_impedance",
     "expansion_from_surface_field",
     "far_field_po",
@@ -38,18 +37,12 @@ SINGULARITY_TOL = 1e-6
 
 @dataclass(frozen=True)
 class GoProfile:
-    """Reactive impedance profile with its phase function and reflection."""
+    """Reactive impedance profile with its reflection exp(-j Phi_r)."""
 
     grid: AngularGrid
-    phase: np.ndarray
     gamma: np.ndarray
     z_over_eta0: np.ndarray
     singular_mask: np.ndarray
-
-
-def go_reflection(geom: CylinderGeometry, phi_o: float, phi) -> np.ndarray:
-    """Local reflection coefficient Gamma(phi) = exp(-j Phi_r(phi))."""
-    return np.exp(-1j * phase_function(geom, phi_o, phi))
 
 
 def go_impedance(geom: CylinderGeometry, phi_o: float, grid: AngularGrid) -> GoProfile:
@@ -68,7 +61,7 @@ def go_impedance(geom: CylinderGeometry, phi_o: float, grid: AngularGrid) -> GoP
     with np.errstate(divide="ignore", invalid="ignore"):
         z = -1j * (np.cos(phase / 2.0) / s) / c
     z = np.where(singular, np.nan + 1j * np.nan, z)
-    return GoProfile(grid=grid, phase=phase, gamma=gamma, z_over_eta0=z, singular_mask=singular)
+    return GoProfile(grid=grid, gamma=gamma, z_over_eta0=z, singular_mask=singular)
 
 
 def expansion_from_surface_field(

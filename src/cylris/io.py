@@ -67,18 +67,8 @@ def _write_rows(path, header: str, columns: list) -> None:
             fh.write("\n".join(map(",".join, zip(*cells))) + "\n")
 
 
-def _json_default(o):
-    if isinstance(o, (np.integer,)):
-        return int(o)
-    if isinstance(o, (np.floating,)):
-        return float(o)
-    if isinstance(o, np.ndarray):
-        return o.tolist()
-    raise TypeError(f"not JSON serializable: {type(o)}")
-
-
 def _json_text(payload: dict) -> str:
-    return json.dumps(payload, indent=2, sort_keys=True, default=_json_default) + "\n"
+    return json.dumps(payload, indent=2, sort_keys=True) + "\n"
 
 
 def write_json(path, payload) -> None:

@@ -10,6 +10,7 @@ resolves its own state set from the table. Externally characterized data
 from __future__ import annotations
 
 import csv
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -20,7 +21,6 @@ __all__ = [
     "StateTable",
     "ideal_one_bit",
     "load_state_table",
-    "state_set_for_element",
     "state_sets_for_array",
 ]
 
@@ -32,12 +32,10 @@ class StateTable:
     """Angle-resolved reflection states of one meta-atom design.
 
     states[i, l] is the complex reflection of state l at incidence angle
-    angles_deg[i]. A single row means an angle-independent model. Unwrapped
-    per-state phases are kept alongside so interpolation can treat magnitude
-    and phase separately.
+    angles_deg[i]; the state count L, the width of `states`, is a power of
+    two >= 2. A single row means an angle-independent model.
     """
 
-    bits: int
     angles_deg: np.ndarray
     states: np.ndarray
     metadata: dict = field(default_factory=dict)
@@ -45,11 +43,13 @@ class StateTable:
     def __post_init__(self):
         angles = np.asarray(self.angles_deg, dtype=float)
         states = np.asarray(self.states, dtype=complex)
-        if self.bits < 1:
-            raise ValueError("bits must be >= 1")
-        n_states = 2**self.bits
-        if states.ndim != 2 or states.shape != (angles.size, n_states):
-            raise ValueError(f"states must have shape (n_angles, {n_states})")
+        if angles.ndim != 1 or states.ndim != 2 or states.shape[0] != angles.size:
+            raise ValueError("states must have shape (n_angles, L)")
+        n_states = states.shape[1]
+        if n_states < 2 or n_states & (n_states - 1):
+            raise ValueError(f"number of states {n_states} is not a power of two >= 2")
+        if not (np.isfinite(angles).all() and np.isfinite(states).all()):
+            raise ValueError("angles_deg and states must be finite")
         if angles.size > 1 and np.any(np.diff(angles) <= 0):
             raise ValueError("angles_deg must be strictly increasing")
         if np.any(angles < 0) or np.any(angles > 90):
@@ -63,34 +63,28 @@ class StateTable:
             )
         object.__setattr__(self, "angles_deg", angles)
         object.__setattr__(self, "states", states)
-        mags = np.abs(states)
-        phases = np.unwrap(np.angle(states), axis=0) if angles.size > 1 else np.angle(states)
-        object.__setattr__(self, "_mags", mags)
-        object.__setattr__(self, "_phases", phases)
 
-    @property
-    def n_states(self) -> int:
-        return self.states.shape[1]
+    def states_at(self, angles_deg) -> np.ndarray:
+        """State sets at incidence angles (deg), shape angles.shape + (L,).
 
-    def states_at(self, angle_deg: float) -> np.ndarray:
-        """State set at one incidence angle; linear interpolation in angle.
-
-        Magnitude and unwrapped phase are interpolated separately; exact
-        table rows are returned verbatim at the knots. Angles outside the
-        tabulated range clamp to the nearest row.
+        Magnitude and unwrapped phase interpolate linearly in angle, each
+        state on its own; exact table rows are returned verbatim at the
+        knots. Angles outside the tabulated range clamp to the nearest row,
+        so a single-row table returns its row at every angle.
         """
-        if self.angles_deg.size == 1:
-            return self.states[0].copy()
-        a = float(np.clip(angle_deg, self.angles_deg[0], self.angles_deg[-1]))
-        idx = np.searchsorted(self.angles_deg, a)
-        if idx < self.angles_deg.size and self.angles_deg[idx] == a:
-            return self.states[idx].copy()
-        mags = np.array([np.interp(a, self.angles_deg, self._mags[:, l]) for l in range(self.n_states)])
-        phs = np.array([np.interp(a, self.angles_deg, self._phases[:, l]) for l in range(self.n_states)])
-        return mags * np.exp(1j * phs)
+        knots, states = self.angles_deg, self.states
+        a = np.asarray(angles_deg, dtype=float)
+        if not np.isfinite(a).all():
+            raise ValueError("incidence angles must be finite")
+        a = np.clip(a, knots[0], knots[-1])
+        phases = np.unwrap(np.angle(states), axis=0)
+        mags = np.stack([np.interp(a, knots, m) for m in np.abs(states).T], axis=-1)
+        phs = np.stack([np.interp(a, knots, p) for p in phases.T], axis=-1)
+        idx = np.minimum(np.searchsorted(knots, a), knots.size - 1)
+        return np.where((knots[idx] == a)[..., None], states[idx], mags * np.exp(1j * phs))
 
 
-def ideal_one_bit(taper: str = "constant") -> StateTable:
+def ideal_one_bit(taper: str) -> StateTable:
     """Idealized two-state element: unit magnitude, 180 deg split at normal.
 
     taper="constant" keeps the 180 deg split at every incidence angle (single
@@ -99,31 +93,23 @@ def ideal_one_bit(taper: str = "constant") -> StateTable:
     contrast of a real element collapses toward grazing.
     """
     if taper == "constant":
-        return StateTable(
-            bits=1,
-            angles_deg=np.array([0.0]),
-            states=np.array([[1.0 + 0j, -1.0 + 0j]]),
-            metadata={"model": "ideal_one_bit", "taper": "constant"},
-        )
-    if taper == "cosine":
+        angles, states = np.array([0.0]), np.array([[1.0, -1.0]])
+    elif taper == "cosine":
         angles = np.arange(0.0, 90.5, 1.0)
         delta = np.pi * np.cos(np.radians(angles))
-        states = np.stack([np.ones_like(delta) + 0j, np.exp(1j * delta)], axis=1)
-        return StateTable(
-            bits=1,
-            angles_deg=angles,
-            states=states,
-            metadata={"model": "ideal_one_bit", "taper": "cosine"},
-        )
-    raise ValueError("taper must be 'constant' or 'cosine'")
+        states = np.stack([np.ones_like(delta), np.exp(1j * delta)], axis=1)
+    else:
+        raise ValueError("taper must be 'constant' or 'cosine'")
+    return StateTable(angles, states, {"model": "ideal_one_bit", "taper": taper})
 
 
 def load_state_table(path, metadata: dict | None = None) -> StateTable:
     """Load a state table from CSV: angle_deg, state_index, mag, phase_deg.
 
-    One header line; every (angle, state) pair must be present. The number
-    of distinct state indices must be a power of two, 2**bits. Raises
-    ValueError naming the offending row on any violation.
+    One header line; every (angle, state) pair must be present, with finite
+    values and 0 <= mag <= 1. Raises ValueError naming the file, and the
+    offending line where there is one, on any violation, including every
+    `StateTable` rule.
     """
     rows = []
     with open(path, newline="") as fh:
@@ -141,6 +127,8 @@ def load_state_table(path, metadata: dict | None = None) -> StateTable:
                 angle, idx, mag, ph = float(row[0]), int(row[1]), float(row[2]), float(row[3])
             except (ValueError, IndexError) as exc:
                 raise ValueError(f"{path}: line {ln}: cannot parse row {row}") from exc
+            if not all(map(math.isfinite, (angle, mag, ph))) or mag < 0:
+                raise ValueError(f"{path}: line {ln}: values must be finite and mag >= 0, got {row}")
             if mag > 1.0 + PASSIVITY_TOL:
                 raise ValueError(f"{path}: line {ln}: |gamma| = {mag} violates passivity")
             rows.append((angle, idx, mag, ph, ln))
@@ -148,13 +136,9 @@ def load_state_table(path, metadata: dict | None = None) -> StateTable:
         raise ValueError(f"{path}: no data rows")
     angles = np.array(sorted({r[0] for r in rows}))
     state_ids = sorted({r[1] for r in rows})
-    n_states = len(state_ids)
-    if state_ids != list(range(n_states)):
+    if state_ids != list(range(len(state_ids))):
         raise ValueError(f"{path}: state indices must be 0..L-1, got {state_ids}")
-    b = n_states.bit_length() - 1
-    if 2**b != n_states:
-        raise ValueError(f"{path}: number of states {n_states} is not a power of two")
-    table = np.full((angles.size, n_states), np.nan, dtype=complex)
+    table = np.full((angles.size, len(state_ids)), np.nan, dtype=complex)
     for angle, idx, mag, ph, ln in rows:
         i = int(np.searchsorted(angles, angle))
         if not np.isnan(table[i, idx].real):
@@ -164,22 +148,18 @@ def load_state_table(path, metadata: dict | None = None) -> StateTable:
     if missing.size:
         i, l = missing[0]
         raise ValueError(f"{path}: missing entry for angle {angles[i]} deg, state {l}")
-    return StateTable(bits=b, angles_deg=angles, states=table, metadata=dict(metadata or {}))
-
-
-def state_set_for_element(table: StateTable, alpha_n: float) -> np.ndarray:
-    """State set of the element at angular position alpha_n.
-
-    The incident wave travels along -x and the element normal is radial, so
-    the local incidence angle is theta_n = |alpha_n|; state sets are even in
-    alpha by construction.
-    """
-    alpha = float(wrap_angle(alpha_n))
-    if abs(alpha) >= np.pi / 2:
-        raise ValueError("element must be on the illuminated half (|alpha| < pi/2)")
-    return table.states_at(np.degrees(abs(alpha)))
+    try:
+        return StateTable(angles, table, dict(metadata or {}))
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from None
 
 
 def state_sets_for_array(table: StateTable, array) -> np.ndarray:
-    """State sets of every element of an array: row n is element n's set, (N, L)."""
-    return np.array([state_set_for_element(table, a) for a in array.alphas])
+    """State sets of every element of an array: row n is element n's set, (N, L).
+
+    The incident wave travels along -x and the element normal is radial, so
+    element n sees the local incidence angle |alpha_n|, below 90 deg since
+    `ElementArray` keeps every element on the illuminated half; state sets
+    are even in alpha by construction.
+    """
+    return table.states_at(np.degrees(np.abs(wrap_angle(array.alphas))))

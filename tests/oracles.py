@@ -14,6 +14,8 @@ by one matrix product instead of split sums, the span oracle (the library's
 former `_es_task`) scores every column of every high tuple with no probe
 and prune, and Sigma_S is integrated entry by entry with adaptive `quad`
 instead of fixed Gauss-Legendre panels. The
+state-set oracle (the library's former per-element path) resolves one
+element and one angle at a time and interpolates state by state. The
 CSV writers (the library's former ones) build one line per row from numpy
 scalars, `repr(float(x))` per cell, and write the whole file in one call.
 """
@@ -28,7 +30,7 @@ import mpmath as mp
 import numpy as np
 from scipy.integrate import quad
 
-from cylris import exclusion_set_mask, steering_vector_at
+from cylris import exclusion_set_mask, steering_vector_at, wrap_angle
 from cylris.optimizers import _objective_batch
 
 
@@ -185,6 +187,24 @@ def nearest_state_loop(g: np.ndarray, state_sets) -> tuple[np.ndarray, np.ndarra
         i = int(np.argmin(np.abs(states - g[n])))
         idx[n], out[n] = i, states[i]
     return out, idx
+
+
+def state_sets_loop(table, array) -> np.ndarray:
+    """Per-element state sets, (N, L): wrap, clamp, knot test and interpolation per element."""
+    knots, states = table.angles_deg, table.states
+    mags, phases = np.abs(states), np.unwrap(np.angle(states), axis=0)
+    rows = []
+    for alpha_n in array.alphas:
+        alpha = float(wrap_angle(alpha_n))
+        assert abs(alpha) < np.pi / 2
+        a = float(np.clip(np.degrees(abs(alpha)), knots[0], knots[-1]))
+        if knots.size == 1 or a in knots:
+            rows.append(states[0 if knots.size == 1 else int(np.searchsorted(knots, a))].copy())
+            continue
+        mag = np.array([np.interp(a, knots, mags[:, l]) for l in range(states.shape[1])])
+        ph = np.array([np.interp(a, knots, phases[:, l]) for l in range(states.shape[1])])
+        rows.append(mag * np.exp(1j * ph))
+    return np.array(rows)
 
 
 def mpdr_scan_loop(x, sigma_s, state_sets, psi_samples: int):

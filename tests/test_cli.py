@@ -10,7 +10,15 @@ import numpy as np
 import pytest
 import yaml
 
-from cylris import AngularGrid, CylinderGeometry, build_array, go_synth, optimizers, specfun
+from cylris import (
+    AngularGrid,
+    CylinderGeometry,
+    build_array,
+    go_synth,
+    optimizers,
+    phase_function,
+    specfun,
+)
 from cylris.cli import main
 from cylris.config import _REQUIRED, METHOD_KEYS, SCHEMA, load_config, parse_config
 from cylris.errors import ConfigError
@@ -115,7 +123,7 @@ def library_call(key, toy, **kwargs):
         return build_array(toy["geom"], **{"n_elements": 8, "arc_pitch_m": 0.038, **kwargs})
     if name == "shadow_model":
         grid = AngularGrid.uniform(256)
-        gamma = go_synth.go_reflection(toy["geom"], toy["spec"].phi_o, grid.values)
+        gamma = np.exp(-1j * phase_function(toy["geom"], toy["spec"].phi_o, grid.values))
         return go_synth.far_field_po(toy["geom"], gamma, grid, **kwargs)
     args = toy["table"], toy["spec"], toy["states"]
     if name in METHOD_KEYS["es"]:
@@ -849,6 +857,21 @@ def test_csv_state_table_through_pipeline(tmp_path):
     assert run_cli(["synth", "-c", str(path)]) == 0
     result = json.loads((out / "result.json").read_text())
     assert all(abs(complex(g["re"], g["im"])) <= 1 + 1e-9 for g in result["gamma"])
+
+
+@pytest.mark.parametrize(
+    "row",
+    ["0,1,-1.0,180", "0,1,nan,180", "0,1,inf,180", "0,1,1.0,nan", "nan,1,1.0,180", "inf,1,1.0,180"],
+)
+def test_malformed_state_table_exits_2_naming_the_line(tmp_path, capsys, row):
+    table = tmp_path / "atom.csv"
+    table.write_text(f"angle_deg,state_index,mag,phase_deg\n0,0,1.0,0\n{row}\n")
+    cfg = toy_config(tmp_path / "run", method="mpdr")
+    cfg["meta_atom"] = {"model": "table", "table_path": str(table)}
+    assert run_cli(["synth", "-c", str(write_config(tmp_path, cfg))]) == 2
+    error = one_json_error(capsys)["error"]
+    assert f"{table}: line 3: values must be finite" in error
+    assert not (tmp_path / "run" / "pattern.csv").exists()
 
 
 def test_cos2_element_pattern_through_pipeline(tmp_path):

@@ -4,6 +4,7 @@ import pytest
 from cylris import (
     AngularGrid,
     CylinderGeometry,
+    ElementArray,
     SteeringSpec,
     build_array,
     conjugate_phase_excitation,
@@ -59,6 +60,15 @@ class TestBuildArray:
     def test_overlong_array_rejected(self, geom):
         with pytest.raises(ValueError):
             build_array(geom, 40, 0.038)
+
+    @pytest.mark.parametrize(
+        "alpha",
+        [np.pi / 2, -np.pi / 2, np.radians(95.0), np.nan],
+        ids=["at", "at_minus", "past", "nan"],
+    )
+    def test_element_at_or_past_a_quarter_turn_rejected(self, geom, alpha):
+        with pytest.raises(ValueError, match="illuminated half"):
+            ElementArray(geom, np.array([alpha]), 0.038)
 
     def test_unknown_element_pattern_rejected(self, geom):
         with pytest.raises(ValueError, match="element_pattern"):

@@ -76,7 +76,6 @@ class TestCsvWritersMatchRowLoops:
         z, singular = _impedance(n)
         profile = GoProfile(
             grid=AngularGrid.uniform(n),
-            phase=np.zeros(n),
             gamma=np.ones(n, dtype=complex),
             z_over_eta0=z,
             singular_mask=singular,

@@ -2,11 +2,30 @@ import numpy as np
 import pytest
 
 from cylris import (
+    CylinderGeometry,
+    ElementArray,
+    StateTable,
+    build_array,
     ideal_one_bit,
     load_state_table,
-    state_set_for_element,
     state_sets_for_array,
 )
+
+from oracles import state_sets_loop
+
+# the two-angle table of the CSV pipeline test, and {1, -1, j, -j} at every angle
+TWO_ANGLE_TABLE = StateTable(
+    np.array([0.0, 80.0]),
+    np.array([[1.0, -1.0], [0.95 * np.exp(-1j * np.radians(20)), 0.9 * np.exp(1j * np.radians(120))]]),
+)
+FOUR_STATES = StateTable(np.array([0.0]), np.array([[1, -1, 1j, -1j]]))
+TABLES = {
+    "constant": ideal_one_bit("constant"),
+    "cosine": ideal_one_bit("cosine"),
+    "two_angle": TWO_ANGLE_TABLE,
+    "four_states": FOUR_STATES,
+}
+RADIUS_OF_ARRAY = {8: 0.12, 20: 0.4, 24: 0.4, 30: 0.4}  # n_elements -> radius_m
 
 
 class TestIdealOneBit:
@@ -72,6 +91,20 @@ class TestLoadStateTable:
         with pytest.raises(ValueError, match="power of two"):
             load_state_table(self._write(tmp_path, body))
 
+    @pytest.mark.parametrize(
+        "row",
+        ["0,1,-1.0,180", "0,1,nan,180", "0,1,inf,180", "0,1,1.0,nan", "0,1,1.0,-inf", "nan,1,1.0,180"],
+    )
+    def test_non_finite_or_negative_value_names_row(self, tmp_path, row):
+        path = self._write(tmp_path, f"0,0,1.0,0\n{row}\n")
+        with pytest.raises(ValueError, match=f"{path}: line 3: values must be finite"):
+            load_state_table(path)
+
+    def test_state_table_rule_names_the_file(self, tmp_path):
+        path = self._write(tmp_path, "95,0,1.0,0\n95,1,1.0,180\n")
+        with pytest.raises(ValueError, match=f"{path}: angles_deg must lie in"):
+            load_state_table(path)
+
     def test_metadata_round_trip(self, tmp_path):
         body = "0,0,1.0,0\n0,1,1.0,180\n"
         descriptor = {
@@ -98,33 +131,77 @@ class TestLoadStateTable:
         ) == pytest.approx(-180.0, abs=1e-9)
 
 
+class TestStateTable:
+    @pytest.mark.parametrize(
+        "angles, states",
+        [
+            ([0.0], [[np.nan, -1.0]]),
+            ([0.0], [[1.0, complex(0.0, np.inf)]]),
+            ([np.nan], [[1.0, -1.0]]),
+            ([0.0, np.inf], [[1.0, -1.0], [1.0, -1.0]]),
+        ],
+        ids=["nan_state", "inf_state", "nan_angle", "inf_angle"],
+    )
+    def test_non_finite_rejected(self, angles, states):
+        with pytest.raises(ValueError, match="finite"):
+            StateTable(np.array(angles), np.array(states))
+
+    @pytest.mark.parametrize("states", [[[1.0]], [[1.0, -1.0, 1j]]], ids=["one", "three"])
+    def test_state_count_is_a_power_of_two_of_at_least_two(self, states):
+        with pytest.raises(ValueError, match="power of two"):
+            StateTable(np.array([0.0]), np.array(states))
+
+    @pytest.mark.parametrize("name", TABLES)
+    def test_array_lookup_equals_per_angle_calls(self, name):
+        t = TABLES[name]
+        # knots, between knots, both ends and out of range
+        angles = np.array([[0.0, 0.5, 17.3, 40.0, 60.0], [79.99, 80.0, 89.5, 90.0, 120.0]])
+        got = t.states_at(angles)
+        assert got.shape == angles.shape + (t.states.shape[1],)
+        want = np.array([[t.states_at(a) for a in row] for row in angles])
+        assert np.array_equal(got, want)
+        assert np.array_equal(t.states_at(-5.0), t.states_at(0.0))
+
+    @pytest.mark.parametrize("name", TABLES)
+    def test_non_finite_angle_rejected(self, name):
+        with pytest.raises(ValueError, match="finite"):
+            TABLES[name].states_at(np.array([10.0, np.nan]))
+
+
 class TestStateSetForElement:
     def test_normal_incidence_row_verbatim(self):
         t = ideal_one_bit("cosine")
-        s = state_set_for_element(t, 0.0)
-        assert np.array_equal(s, t.states[0])
+        assert np.array_equal(t.states_at(0.0), t.states[0])
+        # the middle element of an odd array sits at alpha = 0
+        array = build_array(CylinderGeometry(0.4, 3.6e9), 9, 0.038)
+        assert np.array_equal(state_sets_for_array(t, array)[4], t.states[0])
 
-    def test_even_symmetry_in_alpha(self):
-        t = ideal_one_bit("cosine")
-        a = np.radians(33.0)
-        assert np.array_equal(state_set_for_element(t, a), state_set_for_element(t, -a))
+    def test_even_symmetry_in_alpha(self, geom):
+        array = ElementArray(geom, np.radians([-33.0, 33.0]), geom.radius_m * np.radians(66.0))
+        sets = state_sets_for_array(ideal_one_bit("cosine"), array)
+        assert np.array_equal(sets[0], sets[1])
 
     def test_knots_bit_exact(self):
         t = ideal_one_bit("cosine")
         assert np.array_equal(t.states_at(60.0), t.states[60])
         assert np.array_equal(t.states_at(89.0), t.states[89])
+        assert np.array_equal(t.states_at(np.array([60.0, 89.0])), t.states[[60, 89]])
 
-    def test_element_at_sixty_degrees_ninety_apart(self):
+    def test_element_at_sixty_degrees_ninety_apart(self, geom):
         t = ideal_one_bit("cosine")
-        s = state_set_for_element(t, np.radians(60.0))
-        assert np.degrees(np.angle(s[1] / s[0])) == pytest.approx(90.0, abs=1e-9)
+        array = ElementArray(geom, np.radians([-60.0, 60.0]), geom.radius_m * np.radians(120.0))
+        for s in state_sets_for_array(t, array):
+            assert np.degrees(np.angle(s[1] / s[0])) == pytest.approx(90.0, abs=1e-9)
 
     def test_constant_table_flip_is_negation(self, array30):
         sets = state_sets_for_array(ideal_one_bit("constant"), array30)
         for s in sets:
             assert np.array_equal(s[1], -s[0])
 
-    def test_shadow_element_rejected(self):
-        t = ideal_one_bit("constant")
-        with pytest.raises(ValueError):
-            state_set_for_element(t, np.radians(95.0))
+    @pytest.mark.parametrize("n_elements", RADIUS_OF_ARRAY)
+    @pytest.mark.parametrize("name", TABLES)
+    def test_matches_per_element_oracle(self, name, n_elements):
+        array = build_array(CylinderGeometry(RADIUS_OF_ARRAY[n_elements], 3.6e9), n_elements, 0.038)
+        got = state_sets_for_array(TABLES[name], array)
+        assert got.shape == (n_elements, TABLES[name].states.shape[1])
+        assert np.array_equal(got, state_sets_loop(TABLES[name], array))

@@ -17,7 +17,6 @@ from cylris import (
     exhaustive_search,
     ga_synthesize,
     go_quantized,
-    go_reflection,
     ideal_one_bit,
     mpdr_relaxed,
     mpdr_synthesize,
@@ -203,7 +202,6 @@ class TestProjectToStates:
 
 # the two-angle table of the CSV pipeline test: magnitudes 0.90-1.00
 TWO_ANGLE_TABLE = StateTable(
-    bits=1,
     angles_deg=np.array([0.0, 80.0]),
     states=np.array(
         [[1.0, -1.0], [0.95 * np.exp(-1j * np.radians(20)), 0.9 * np.exp(1j * np.radians(120))]]
@@ -328,7 +326,7 @@ def _es_instance(n_elements, radius_m, phi_o_deg, model="constant", states_of=No
 
 
 # {1, -1, j, -j}: closed under negation, pairs at indices (0, 1) and (2, 3)
-_FOUR_STATES = StateTable(bits=2, angles_deg=np.array([0.0]), states=np.array([[1, -1, 1j, -1j]]))
+_FOUR_STATES = StateTable(angles_deg=np.array([0.0]), states=np.array([[1, -1, 1j, -1j]]))
 
 ES_INSTANCES = {
     "toy": _es_instance(8, 0.12, 20.0),
@@ -674,7 +672,7 @@ class TestGoQuantized:
         for phi_o in np.radians(np.arange(-80.0, 81.0)):
             assert np.array_equal(
                 conjugate_phase_excitation(array, phi_o),
-                go_reflection(array.geom, phi_o, array.alphas),
+                np.exp(-1j * phase_function(array.geom, phi_o, array.alphas)),
             )
 
 
