@@ -21,7 +21,7 @@ import numpy as np
 
 from . import specfun
 from .config import checked
-from .exact_synth import ModalExpansion, far_field_exact, required_grid_points
+from .exact_synth import ModalExpansion, _radial_table, far_field_exact, required_grid_points
 from .geometry import AngularGrid, CylinderGeometry, incident_field, phase_function, wrap_angle
 from .patterns import PatternGrid
 
@@ -70,8 +70,8 @@ def expansion_from_surface_field(
     """Modal coefficients of the outgoing field matching E_sz(R, .) samples.
 
     Projects onto exp(-j m (phi - pi/2)) by the periodic trapezoid rule and
-    divides by H_m(k0 R). The grid must resolve the modal content: at least
-    2 (2M + 1) samples.
+    divides by H_m(k0 R) from the table the exact model shares. The grid
+    must resolve the modal content: at least 2 (2M + 1) samples.
     """
     x = geom.k0r
     order = specfun.truncation_order(x)
@@ -85,7 +85,7 @@ def expansion_from_surface_field(
     # adjoint of modal_sum: (1/n) sum_k e_k exp(j m (phi_k - pi/2))
     # = j^m ifft(e)[m mod n] on phi_k = -pi + 2 pi k / n
     c_hat = 1j ** (ms % 4) * np.fft.ifft(e_surface)[ms % n]
-    return ModalExpansion(c_hat / specfun.hankel2(ms, x))
+    return ModalExpansion(c_hat / _radial_table(x, order)[1][1:-1])
 
 
 def far_field_po(

@@ -4,7 +4,8 @@ Integer orders and real positive arguments only. Negative orders are mapped
 onto positive orders through the parity sign rule, so the symmetry
 J_{-m}(x) = (-1)^m J_m(x) holds bit-for-bit. The Hankel function is always
 assembled as J - jY, never computed independently, so H = J - jY is exact
-by construction.
+by construction. For a scalar argument, scipy is called once per distinct
+|m|, so a symmetric -M..M call costs what 0..M does.
 
 `scipy.special` is imported inside `bessel_j` and `bessel_y`, the only two
 functions that call it, not at module import. Loading it costs more than
@@ -31,9 +32,13 @@ __all__ = [
 ]
 
 
-def _parity_sign(m: np.ndarray) -> np.ndarray:
-    # (-1)^m for the negative orders, +1 elsewhere
-    return np.where((m < 0) & (np.abs(m) % 2 == 1), -1.0, 1.0)
+def _signed(fn, m: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """fn(|m|, x), times (-1)^m on the negative orders; at scalar x, one value per distinct |m|."""
+    sign = np.where((m < 0) & (np.abs(m) % 2 == 1), -1.0, 1.0)
+    if x.ndim:
+        return sign * fn(np.abs(m), x)
+    orders, inverse = np.unique(np.abs(m), return_inverse=True)
+    return sign * fn(orders, x)[inverse.reshape(m.shape)]
 
 
 def _check_args(m, x, allow_zero_for_nonneg: bool):
@@ -60,7 +65,7 @@ def bessel_j(m, x):
     from scipy.special import jv
 
     m, x = _check_args(m, x, allow_zero_for_nonneg=True)
-    out = _parity_sign(m) * jv(np.abs(m), x)
+    out = _signed(jv, m, x)
     return out if out.ndim else float(out)
 
 
@@ -74,7 +79,7 @@ def bessel_y(m, x):
     from scipy.special import yv
 
     m, x = _check_args(m, x, allow_zero_for_nonneg=False)
-    out = _parity_sign(m) * yv(np.abs(m), x)
+    out = _signed(yv, m, x)
     if not np.all(np.isfinite(out)):
         raise OverflowError("Y_m(x) overflowed for extreme order/argument")
     return out if out.ndim else float(out)

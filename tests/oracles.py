@@ -18,6 +18,9 @@ state-set oracle (the library's former per-element path) resolves one
 element and one angle at a time and interpolates state by state. The
 CSV writers (the library's former ones) build one line per row from numpy
 scalars, `repr(float(x))` per cell, and write the whole file in one call.
+The radial-function oracles (the library's former per-call formulas)
+evaluate J_m(k0 R) and H_m(k0 R) afresh in every call, over every order
+of the call, negative ones included, instead of reading one shared table.
 """
 
 from __future__ import annotations
@@ -29,9 +32,20 @@ from pathlib import Path
 import mpmath as mp
 import numpy as np
 from scipy.integrate import quad
+from scipy.special import jv, yv
 
-from cylris import exclusion_set_mask, steering_vector_at, wrap_angle
+from cylris import (
+    ModalExpansion,
+    exclusion_set_mask,
+    far_field_exact,
+    incident_field,
+    modal_sum,
+    steering_vector_at,
+    wrap_angle,
+)
+from cylris.exact_synth import POLE_TOL_FACTOR
 from cylris.optimizers import _objective_batch
+from cylris.specfun import truncation_order
 
 
 def bessel_j_series(m: int, x: float, dps: int = 50) -> float:
@@ -100,6 +114,63 @@ def impedance_direct(k0r: float, phi_o: float, phi: float, order: int, dps: int 
         inc = mp.e ** (-j * x * mp.cos(mp.mpf(phi)))
         z = (1 + inc * num) / (mp.cos(mp.mpf(phi)) - j * inc * den)
         return complex(z)
+
+
+def signed_per_element(fn, m, x) -> np.ndarray:
+    """fn(|m|, x), times (-1)^m for odd negative m, one scipy call per element of the broadcast."""
+    m_b, x_b = np.broadcast_arrays(np.asarray(m), np.asarray(x, dtype=float))
+    out = [(-1.0 if mi < 0 and mi % 2 else 1.0) * fn(abs(int(mi)), xi)
+           for mi, xi in zip(m_b.flat, x_b.flat)]
+    return np.array(out).reshape(m_b.shape)
+
+
+def bessel_per_call(ms: np.ndarray, x: float) -> tuple:
+    """J_m(x) and H_m(x) = J_m - j Y_m over every order of `ms`, as the
+    former `specfun.bessel_j` and `hankel2` computed them: parity sign times
+    one scipy call on |m|, repeated orders and all."""
+    sign = np.where((ms < 0) & (np.abs(ms) % 2 == 1), -1.0, 1.0)
+    j = sign * jv(np.abs(ms), x)
+    return j, j - 1j * (sign * yv(np.abs(ms), x))
+
+
+def modal_coefficients_per_call(geom, phi_o: float) -> np.ndarray:
+    """c_m = exp(j m (phi_o - pi)) J_m(k0 R) / H_m(k0 R), m = -M..M, Bessel values of this call."""
+    order = truncation_order(geom.k0r)
+    ms = np.arange(-order, order + 1)
+    j, h = bessel_per_call(ms, geom.k0r)
+    return np.exp(1j * ms * (phi_o - np.pi)) * j / h
+
+
+def scattered_fields_per_call(geom, expansion, grid) -> np.ndarray:
+    """Scattered E_z and eta0 H_phi at r = R, with H_m on -M-1..M+1 evaluated for this call."""
+    order = expansion.order
+    h = bessel_per_call(np.arange(-order - 1, order + 2), geom.k0r)[1]
+    dh = 0.5 * (h[:-2] - h[2:])
+    w = 1j ** (expansion.orders % 4) * expansion.coeffs
+    return modal_sum(np.stack([w * h[1:-1], -1j * w * dh]), grid)
+
+
+def surface_impedance_per_call(geom, expansion, grid) -> tuple:
+    """(Z/eta0, pole mask) of the total field, scattered part by `scattered_fields_per_call`."""
+    e_s, h_s = scattered_fields_per_call(geom, expansion, grid)
+    e_i = incident_field(geom, geom.radius_m, grid.values)
+    e, h = e_i + e_s, np.cos(grid.values) * e_i + h_s
+    pole = np.abs(h) < POLE_TOL_FACTOR * np.abs(h).max()
+    with np.errstate(divide="ignore", invalid="ignore"):
+        z = np.where(pole, np.nan + 1j * np.nan, e / h)
+    return z, pole
+
+
+def far_field_po_per_call(geom, gamma, grid, shadow_model: str):
+    """Physical-optics far field whose projection divides by H_m(k0 R) evaluated for this call."""
+    phi = grid.values
+    lit = np.abs(wrap_angle(phi)) < np.pi / 2
+    e_i = incident_field(geom, geom.radius_m, phi)
+    e_s = np.where(lit, gamma * e_i, -e_i if shadow_model == "cancel" else 0.0)
+    order = truncation_order(geom.k0r)
+    ms = np.arange(-order, order + 1)
+    c_hat = 1j ** (ms % 4) * np.fft.ifft(e_s)[ms % len(grid)]
+    return far_field_exact(ModalExpansion(c_hat / bessel_per_call(ms, geom.k0r)[1]), grid)
 
 
 def modal_sum_dense(weights: np.ndarray, phi: np.ndarray) -> np.ndarray:

@@ -898,6 +898,20 @@ def test_cos2_window_is_the_cos2_reference_lobe(tmp_path):
     assert out["delta_phi_deg"] == pytest.approx(62.50, abs=0.005)
 
 
+@pytest.mark.parametrize("method", ["exact", "go"])
+def test_bessel_overflow_exits_4_with_one_json_line(tmp_path, capsys, method):
+    """Y_m(k0 R) overflows on a 1e-30 m cylinder: a numerical failure, not a traceback."""
+    cfg = toy_config(
+        tmp_path / "run", method=method, geometry={"radius_m": 1e-30},
+        steering={"delta_phi_mode": "absolute_deg", "value": 20.0},
+    )
+    del cfg["array"]
+    assert run_cli(_synth_argv(tmp_path, cfg)) == 4
+    payload = one_json_error(capsys)
+    assert payload["code"] == 4 and "overflow" in payload["error"]
+    assert not (tmp_path / "run" / "pattern.csv").exists()
+
+
 def _limit_address_space():
     """Cap the child's address space at 2 GiB (runs in the child only)."""
     resource.setrlimit(resource.RLIMIT_AS, (2 << 30, 2 << 30))

@@ -1,9 +1,10 @@
 import numpy as np
 import pytest
+from scipy.special import jv, yv
 
 from cylris import specfun
 
-from oracles import bessel_j_miller, bessel_j_series
+from oracles import bessel_j_miller, bessel_j_series, signed_per_element
 
 X_FULL_SCALE = 30.159289474462014  # k0R of the full-scale configuration
 
@@ -54,6 +55,24 @@ def test_negative_order_symmetry_bitwise():
         plus_y = specfun.bessel_y(ms, x)
         minus_y = specfun.bessel_y(-ms, x)
         assert np.array_equal(minus_y, signs * plus_y)
+
+
+@pytest.mark.parametrize(
+    "m, x",
+    [
+        ([7, -3, 7, 0, -7, 3, 12, -12, -1], 9.5),  # repeated, unsorted, negative
+        ([[4, -1, -4], [1, 0, 4]], X_FULL_SCALE),  # 2-D
+        (-5, 2.0),  # one negative odd order
+        (np.arange(-40, 41), X_FULL_SCALE),  # the symmetric -M..M call
+        ([3, -3, 2, -2], [1.5, 2.5, 3.5, 40.0]),  # array argument
+        ([[2], [-3]], [1.0, 4.0]),  # orders and arguments broadcast
+    ],
+)
+@pytest.mark.parametrize("fn, ref", [(specfun.bessel_j, jv), (specfun.bessel_y, yv)])
+def test_bessel_equals_one_scipy_call_per_element(fn, ref, m, x):
+    got = fn(m, x)
+    assert np.array_equal(got, signed_per_element(ref, m, x))
+    assert np.shape(got) == np.broadcast_shapes(np.shape(m), np.shape(x))
 
 
 def test_hankel2_is_j_minus_jy_exactly():
