@@ -172,7 +172,7 @@ def main(argv: list[str] | None = None) -> int:
         return _COMMANDS[args.command](args)
     except (BudgetExceededError, MemoryError) as exc:
         return _fail(exc, EXIT_BUDGET)
-    except (NumericalError, OverflowError, np.linalg.LinAlgError, FloatingPointError) as exc:
+    except (NumericalError, np.linalg.LinAlgError, FloatingPointError) as exc:
         return _fail(exc, EXIT_NUMERICAL)
     except (ValueError, OSError) as exc:
         # after LinAlgError (a ValueError): bad values (ConfigError too) and paths

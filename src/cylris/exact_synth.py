@@ -12,10 +12,9 @@ one kernel, `modal_sum`: a length-G FFT on the full-circle `AngularGrid`.
 It is exact for any G, but the pipeline refuses G < 2M + 1, which cannot
 resolve the pattern.
 
-J_m(k0 R) and H_m(k0 R) depend on k0 R alone, not on the steering angle:
-`_radial_table` evaluates them once per (k0 R, M) in a process, and the
-exact coefficients, the surface fields and the GO projection read slices
-of it.
+J_m, H_m and dH_m/dx at k0 R do not depend on the steering angle, so
+`_radial_table` evaluates them once per (k0 R, M) in a process for the
+exact coefficients, the surface fields and the GO projection.
 
 Sign convention: the surface target is taken with a plus sign,
 E_sz(R, phi) = +exp(-j k0 R cos(phi - phi_o)); reported patterns are
@@ -93,21 +92,23 @@ class ImpedanceProfile:
 
 @lru_cache(maxsize=2)  # a sweep has one cylinder; two bound the memory held
 def _radial_table(k0r: float, order: int) -> tuple:
-    """Read-only J_m(k0r) and H_m(k0r) = J_m - j Y_m for m = -order-1..order+1."""
+    """Read-only J_m(k0r), H_m(k0r) = J_m - j Y_m and dH_m/dx for m = -order..order."""
     ms = np.arange(-order - 1, order + 2)
     j = specfun.bessel_j(ms, k0r)
     h = j - 1j * specfun.bessel_y(ms, k0r)
-    j.flags.writeable = h.flags.writeable = False
-    return j, h
+    table = j[1:-1], h[1:-1], 0.5 * (h[:-2] - h[2:])  # dH_m/dx = (H_{m-1} - H_{m+1}) / 2
+    for a in table:
+        a.flags.writeable = False
+    return table
 
 
 def modal_coefficients(geom: CylinderGeometry, phi_o: float) -> ModalExpansion:
     """Coefficients c_m = exp(j m (phi_o - pi)) J_m(k0 R) / H_m(k0 R), m = -M..M,
     with M = `specfun.truncation_order`(k0 R)."""
     order = specfun.truncation_order(geom.k0r)
-    j, h = _radial_table(geom.k0r, order)
+    j, h, _ = _radial_table(geom.k0r, order)
     ms = np.arange(-order, order + 1)
-    return ModalExpansion(np.exp(1j * ms * (phi_o - np.pi)) * j[1:-1] / h[1:-1])
+    return ModalExpansion(np.exp(1j * ms * (phi_o - np.pi)) * j / h)
 
 
 def _folded_fft(w: np.ndarray, n: int) -> np.ndarray:
@@ -138,11 +139,10 @@ def required_grid_points(k0r: float, method: str) -> int:
 
 def _scattered_fields(geom: CylinderGeometry, expansion: ModalExpansion, grid: AngularGrid):
     """Scattered E_z and eta0 H_phi = -j dE_z/d(k0 r) at r = R, on `grid`."""
-    h = _radial_table(geom.k0r, expansion.order)[1]
-    dh = 0.5 * (h[:-2] - h[2:])  # dH_m/dx = (H_{m-1} - H_{m+1}) / 2
+    _, h, dh = _radial_table(geom.k0r, expansion.order)
     # exp(-j m (phi - pi/2)) = j^m exp(-j m phi)
     w = 1j ** (expansion.orders % 4) * expansion.coeffs
-    return modal_sum(np.stack([w * h[1:-1], -1j * w * dh]), grid)
+    return modal_sum(np.stack([w * h, -1j * w * dh]), grid)
 
 
 def _total_fields(geom: CylinderGeometry, expansion: ModalExpansion, grid: AngularGrid):

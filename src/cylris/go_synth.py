@@ -85,7 +85,7 @@ def expansion_from_surface_field(
     # adjoint of modal_sum: (1/n) sum_k e_k exp(j m (phi_k - pi/2))
     # = j^m ifft(e)[m mod n] on phi_k = -pi + 2 pi k / n
     c_hat = 1j ** (ms % 4) * np.fft.ifft(e_surface)[ms % n]
-    return ModalExpansion(c_hat / _radial_table(x, order)[1][1:-1])
+    return ModalExpansion(c_hat / _radial_table(x, order)[1])
 
 
 def far_field_po(

@@ -4,8 +4,7 @@ Integer orders and real positive arguments only. Negative orders are mapped
 onto positive orders through the parity sign rule, so the symmetry
 J_{-m}(x) = (-1)^m J_m(x) holds bit-for-bit. The Hankel function is always
 assembled as J - jY, never computed independently, so H = J - jY is exact
-by construction. For a scalar argument, scipy is called once per distinct
-|m|, so a symmetric -M..M call costs what 0..M does.
+by construction.
 
 `scipy.special` is imported inside `bessel_j` and `bessel_y`, the only two
 functions that call it, not at module import. Loading it costs more than
@@ -21,6 +20,8 @@ import math
 
 import numpy as np
 
+from .errors import NumericalError
+
 __all__ = [
     "bessel_j",
     "bessel_y",
@@ -32,13 +33,13 @@ __all__ = [
 ]
 
 
-def _signed(fn, m: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """fn(|m|, x), times (-1)^m on the negative orders; at scalar x, one value per distinct |m|."""
-    sign = np.where((m < 0) & (np.abs(m) % 2 == 1), -1.0, 1.0)
-    if x.ndim:
-        return sign * fn(np.abs(m), x)
-    orders, inverse = np.unique(np.abs(m), return_inverse=True)
-    return sign * fn(orders, x)[inverse.reshape(m.shape)]
+class _YOverflowError(NumericalError, OverflowError):
+    """Y_m(x) is not finite: an OverflowError the CLI reports as a numerical failure."""
+
+
+def _parity_sign(m: np.ndarray) -> np.ndarray:
+    # (-1)^m for the negative orders, +1 elsewhere
+    return np.where((m < 0) & (np.abs(m) % 2 == 1), -1.0, 1.0)
 
 
 def _check_args(m, x, allow_zero_for_nonneg: bool):
@@ -65,23 +66,23 @@ def bessel_j(m, x):
     from scipy.special import jv
 
     m, x = _check_args(m, x, allow_zero_for_nonneg=True)
-    out = _signed(jv, m, x)
+    out = _parity_sign(m) * jv(np.abs(m), x)
     return out if out.ndim else float(out)
 
 
 def bessel_y(m, x):
     """Bessel function of the second kind Y_m(x) for integer m, x > 0.
 
-    Raises OverflowError when the result is not finite (extreme order vs
-    argument); callers relying on the decaying J/H ratio must handle the
-    tail explicitly instead.
+    Raises OverflowError, also a NumericalError, when the result is not
+    finite (extreme order vs argument); callers relying on the decaying J/H
+    ratio must handle the tail explicitly instead.
     """
     from scipy.special import yv
 
     m, x = _check_args(m, x, allow_zero_for_nonneg=False)
-    out = _signed(yv, m, x)
+    out = _parity_sign(m) * yv(np.abs(m), x)
     if not np.all(np.isfinite(out)):
-        raise OverflowError("Y_m(x) overflowed for extreme order/argument")
+        raise _YOverflowError("Y_m(x) overflowed for extreme order/argument")
     return out if out.ndim else float(out)
 
 
@@ -108,8 +109,8 @@ def truncation_order(x: float) -> int:
     The cube-root margin keeps the truncated tail below spectral-accuracy
     thresholds past the degrees-of-freedom knee at x.
     """
-    if x < 0:
-        raise ValueError("electrical size must be non-negative")
+    if not 0 <= x < math.inf:
+        raise ValueError(f"electrical size must be finite and non-negative, got {x}")
     return int(math.ceil(x + 6.0 * x ** (1.0 / 3.0) + 10.0))
 
 

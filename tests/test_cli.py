@@ -912,6 +912,20 @@ def test_bessel_overflow_exits_4_with_one_json_line(tmp_path, capsys, method):
     assert not (tmp_path / "run" / "pattern.csv").exists()
 
 
+@pytest.mark.parametrize("method", ["exact", "go"])
+def test_infinite_k0r_exits_2_with_one_json_line(tmp_path, capsys, method):
+    """R = 1e300 m at 1e300 Hz passes the positive checks, but k0 R overflows to inf."""
+    cfg = toy_config(
+        tmp_path / "run", method=method, geometry={"radius_m": 1e300, "freq_hz": 1e300},
+        steering={"delta_phi_mode": "absolute_deg", "value": 20.0},
+    )
+    del cfg["array"]
+    assert run_cli(_synth_argv(tmp_path, cfg)) == 2
+    payload = one_json_error(capsys)
+    assert payload["code"] == 2 and "electrical size" in payload["error"]
+    assert not (tmp_path / "run" / "pattern.csv").exists()
+
+
 def _limit_address_space():
     """Cap the child's address space at 2 GiB (runs in the child only)."""
     resource.setrlimit(resource.RLIMIT_AS, (2 << 30, 2 << 30))

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from scipy.special import jv, yv
 
-from cylris import specfun
+from cylris import NumericalError, specfun
 
 from oracles import bessel_j_miller, bessel_j_series, signed_per_element
 
@@ -122,6 +122,17 @@ def test_hankel2_prime_matches_component_recurrences():
 def test_y_overflow_flagged():
     with pytest.raises(OverflowError):
         specfun.bessel_y(800, 1e-3)
+
+
+def test_y_overflow_is_a_numerical_error():
+    with pytest.raises(NumericalError):
+        specfun.bessel_y(800, 1e-3)
+
+
+@pytest.mark.parametrize("x", [-1.0, np.inf, np.nan])
+def test_truncation_order_refuses_a_bad_electrical_size(x):
+    with pytest.raises(ValueError, match="finite and non-negative"):
+        specfun.truncation_order(x)
 
 
 def test_truncation_order_rule():
