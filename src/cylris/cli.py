@@ -1,7 +1,7 @@
 """Batch command-line front end.
 
 Subcommands: synth (one method, one angle), sweep (angle list x method
-list), validate (identity and boundary-condition suites), compare (merge
+list), validate (exact and GO model checks of one cylinder), compare (merge
 prior runs). Exit codes: 0 ok, 2 config error, 3 resource guard (the
 exhaustive-search budget, or out of memory), 4 numerical failure. Errors are
 emitted as a single JSON line on stderr.
@@ -61,7 +61,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sweep.add_argument("--workers", type=int, default=None, help="Override method.workers.")
     sweep.add_argument("-o", "--output-dir", default=None, help="Override output.directory.")
 
-    validate = sub.add_parser("validate", help="Run the identity and boundary-residual suites.")
+    validate = sub.add_parser("validate", help="Check the exact and GO models of one cylinder.")
     validate.add_argument("--radius-m", type=float, default=0.4)
     validate.add_argument("--freq-hz", type=float, default=3.6e9)
 

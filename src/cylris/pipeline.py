@@ -17,7 +17,7 @@ from pathlib import Path
 import numpy as np
 import scipy
 
-from . import __version__, exact_synth, go_synth, io, meta_atom, optimizers, specfun
+from . import __version__, exact_synth, go_synth, io, meta_atom, optimizers
 from .config import DISCRETE_METHODS, RunConfig
 from .discrete_model import (
     REFERENCE_GRID_POINTS,
@@ -145,7 +145,7 @@ def _run_continuous(
     m = pattern_metrics(pattern, spec)
     io.write_pattern_csv(outdir / "pattern.csv", pattern)
     io.write_metrics_json(outdir / "metrics.json", m)
-    return pattern, m, None
+    return m, None
 
 
 # discrete method -> optimizer. Looked up on the module at call time, so a
@@ -170,7 +170,7 @@ def _run_discrete(
     io.write_pattern_csv(outdir / "pattern.csv", pattern)
     io.write_metrics_json(outdir / "metrics.json", m)
     io.write_result_json(outdir / "result.json", result)
-    return pattern, m, result
+    return m, result
 
 
 def run_single(cfg: RunConfig, outdir=None, command: str = "synth", _context=None):
@@ -194,7 +194,7 @@ def run_single(cfg: RunConfig, outdir=None, command: str = "synth", _context=Non
     outdir = Path(outdir if outdir is not None else cfg.output["directory"])
     outdir.mkdir(parents=True, exist_ok=True)
     run = _run_discrete if method in DISCRETE_METHODS else _run_continuous
-    pattern, m, result = run(cfg, ctx, method, phi_o, spec, outdir)
+    m, result = run(cfg, ctx, method, phi_o, spec, outdir)
     write_manifest(outdir / "manifest.json", cfg, command)
     return {
         "method": method,
@@ -340,32 +340,16 @@ def compare_runs(run_dirs: list, outdir) -> dict:
 
 
 def run_validation(radius_m: float = 0.4, freq_hz: float = 3.6e9) -> list[tuple[str, bool, str]]:
-    """Identity and boundary-condition suites; returns (name, ok, detail)."""
+    """Four checks of the exact and GO models of one cylinder; (name, ok, detail) each.
+
+    The Bessel identities check scipy, not the model, so the test suite runs them.
+    """
     geom = CylinderGeometry(radius_m=radius_m, freq_hz=freq_hz)
     x = geom.k0r
     checks: list[tuple[str, bool, str]] = []
 
-    ms = np.arange(0, int(np.ceil(1.5 * x)) + 1)
-    worst = 0.0
-    for xi in (1.0, 10.0, x, 100.0):
-        wr = specfun.bessel_j(ms, xi) * specfun.bessel_y_prime(ms, xi) - specfun.bessel_j_prime(
-            ms, xi
-        ) * specfun.bessel_y(ms, xi)
-        target = 2.0 / (np.pi * xi)
-        worst = max(worst, float(np.max(np.abs(wr - target) / target)))
-    checks.append(("wronskian_identity", worst < 1e-10, f"max rel err {worst:.2e}"))
-
-    order = specfun.truncation_order(x)
     grid = AngularGrid.uniform(721)
     phi = grid.values
-    rec = specfun.jacobi_anger(x, phi, order)
-    err = float(np.abs(rec - np.exp(1j * x * np.cos(phi))).max())
-    checks.append(("jacobi_anger_reconstruction", err < 1e-8, f"max abs err {err:.2e}"))
-
-    mm = np.arange(1, 13)
-    sym = specfun.bessel_j(-mm, x) == ((-1.0) ** mm) * specfun.bessel_j(mm, x)
-    checks.append(("negative_order_symmetry", bool(np.all(sym)), f"{int(sym.sum())}/{mm.size} exact"))
-
     worst = 0.0
     for deg in (15.0, 45.0, 75.0):
         phi_o = np.radians(deg)

@@ -1,10 +1,10 @@
-"""Cylinder special functions: Bessel J/Y, Hankel (second kind), derivatives.
+"""Cylinder special functions: Bessel J_m and Y_m, and the modal truncation order.
 
 Integer orders and real positive arguments only. Negative orders are mapped
 onto positive orders through the parity sign rule, so the symmetry
-J_{-m}(x) = (-1)^m J_m(x) holds bit-for-bit. The Hankel function is always
-assembled as J - jY, never computed independently, so H = J - jY is exact
-by construction.
+J_{-m}(x) = (-1)^m J_m(x) holds bit-for-bit. The one Hankel function the
+package needs, H_m = J_m - j Y_m of the second kind, is assembled from these
+two by `exact_synth._radial_table` and nowhere else.
 
 `scipy.special` is imported inside `bessel_j` and `bessel_y`, the only two
 functions that call it, not at module import. Loading it costs more than
@@ -25,10 +25,6 @@ from .errors import NumericalError
 __all__ = [
     "bessel_j",
     "bessel_y",
-    "bessel_j_prime",
-    "bessel_y_prime",
-    "hankel2",
-    "jacobi_anger",
     "truncation_order",
 ]
 
@@ -86,23 +82,6 @@ def bessel_y(m, x):
     return out if out.ndim else float(out)
 
 
-def bessel_j_prime(m, x):
-    """dJ_m/dx via the central recurrence (J_{m-1} - J_{m+1})/2."""
-    m = np.asarray(m)
-    return 0.5 * (bessel_j(m - 1, x) - bessel_j(m + 1, x))
-
-
-def bessel_y_prime(m, x):
-    """dY_m/dx via the central recurrence (Y_{m-1} - Y_{m+1})/2."""
-    m = np.asarray(m)
-    return 0.5 * (bessel_y(m - 1, x) - bessel_y(m + 1, x))
-
-
-def hankel2(m, x):
-    """Hankel function of the second kind, H_m(x) = J_m(x) - j Y_m(x)."""
-    return bessel_j(m, x) - 1j * bessel_y(m, x)
-
-
 def truncation_order(x: float) -> int:
     """Modal truncation order for electrical size x: ceil(x + 6 x^(1/3) + 10).
 
@@ -112,17 +91,3 @@ def truncation_order(x: float) -> int:
     if not 0 <= x < math.inf:
         raise ValueError(f"electrical size must be finite and non-negative, got {x}")
     return int(math.ceil(x + 6.0 * x ** (1.0 / 3.0) + 10.0))
-
-
-def jacobi_anger(x: float, phi, order: int):
-    """Truncated plane-wave expansion sum_{m=-M}^{M} j^m J_m(x) e^{-j m phi}.
-
-    Converges to exp(j x cos(phi)) once `order` clears the knee at m ~ x.
-    """
-    if order < 1:
-        raise ValueError("truncation order must be >= 1")
-    phi = np.asarray(phi, dtype=float)
-    ms = np.arange(-order, order + 1)
-    terms = (1j) ** ms * bessel_j(ms, x)
-    out = np.exp(-1j * np.multiply.outer(phi, ms)) @ terms
-    return out if out.ndim else complex(out)

@@ -21,6 +21,11 @@ scalars, `repr(float(x))` per cell, and write the whole file in one call.
 The radial-function oracles (the library's former per-call formulas)
 evaluate J_m(k0 R) and H_m(k0 R) afresh in every call, over every order
 of the call, negative ones included, instead of reading one shared table.
+The Bessel-derivative, Hankel and Jacobi-Anger helpers (the library's
+former `specfun` ones) are no second route: they are the central
+recurrence, the J - jY assembly and the truncated plane-wave sum on top of
+`specfun.bessel_j` and `bessel_y`, kept so that the tests can check the
+Wronskian and Jacobi-Anger identities of those two functions.
 """
 
 from __future__ import annotations
@@ -45,7 +50,7 @@ from cylris import (
 )
 from cylris.exact_synth import POLE_TOL_FACTOR
 from cylris.optimizers import _objective_batch
-from cylris.specfun import truncation_order
+from cylris.specfun import bessel_j, bessel_y, truncation_order
 
 
 def bessel_j_series(m: int, x: float, dps: int = 50) -> float:
@@ -114,6 +119,37 @@ def impedance_direct(k0r: float, phi_o: float, phi: float, order: int, dps: int 
         inc = mp.e ** (-j * x * mp.cos(mp.mpf(phi)))
         z = (1 + inc * num) / (mp.cos(mp.mpf(phi)) - j * inc * den)
         return complex(z)
+
+
+def bessel_j_prime(m, x):
+    """dJ_m/dx via the central recurrence (J_{m-1} - J_{m+1})/2."""
+    m = np.asarray(m)
+    return 0.5 * (bessel_j(m - 1, x) - bessel_j(m + 1, x))
+
+
+def bessel_y_prime(m, x):
+    """dY_m/dx via the central recurrence (Y_{m-1} - Y_{m+1})/2."""
+    m = np.asarray(m)
+    return 0.5 * (bessel_y(m - 1, x) - bessel_y(m + 1, x))
+
+
+def hankel2(m, x):
+    """Hankel function of the second kind, H_m(x) = J_m(x) - j Y_m(x)."""
+    return bessel_j(m, x) - 1j * bessel_y(m, x)
+
+
+def jacobi_anger(x: float, phi, order: int):
+    """Truncated plane-wave expansion sum_{m=-M}^{M} j^m J_m(x) e^{-j m phi}.
+
+    Converges to exp(j x cos(phi)) once `order` clears the knee at m ~ x.
+    """
+    if order < 1:
+        raise ValueError("truncation order must be >= 1")
+    phi = np.asarray(phi, dtype=float)
+    ms = np.arange(-order, order + 1)
+    terms = (1j) ** ms * bessel_j(ms, x)
+    out = np.exp(-1j * np.multiply.outer(phi, ms)) @ terms
+    return out if out.ndim else complex(out)
 
 
 def signed_per_element(fn, m, x) -> np.ndarray:

@@ -14,6 +14,7 @@ from cylris import (
     AngularGrid,
     CylinderGeometry,
     build_array,
+    cli,
     go_synth,
     optimizers,
     phase_function,
@@ -804,12 +805,35 @@ class TestSweepAndCompare:
         assert comparison["rows"][0]["target_level_norm_db"] == 0.0
 
 
+MODEL_CHECKS = (
+    "surface_field_identity",
+    "boundary_residual",
+    "go_purely_imaginary",
+    "go_round_trip_identity",
+)
+
+
 class TestValidate:
-    def test_validate_passes(self, capsys):
-        assert run_cli(["validate"]) == 0
-        out = capsys.readouterr().out
-        assert "FAIL" not in out
-        assert out.count("PASS") >= 7
+    # k0R ~ 30 (the shipped cylinder), ~ 106 and ~ 754 (the perfbench exact_go cylinder)
+    @pytest.mark.parametrize(
+        "flags",
+        [[], ["--radius-m", "1.4"], ["--radius-m", "1", "--freq-hz", "36e9"]],
+        ids=["default", "k0r_106", "k0r_754"],
+    )
+    def test_validate_passes(self, capsys, flags):
+        assert run_cli(["validate", *flags]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert [line.split(":")[0] for line in lines] == [f"PASS {name}" for name in MODEL_CHECKS]
+
+    def test_a_failing_check_exits_4_with_one_json_line(self, capsys, monkeypatch):
+        failing = [("boundary_residual", False, "max residual 1.00e-03")]
+        monkeypatch.setattr(cli, "run_validation", lambda **kwargs: failing)
+        assert run_cli(["validate"]) == 4
+        captured = capsys.readouterr()
+        assert "FAIL boundary_residual: max residual 1.00e-03" in captured.out.splitlines()
+        lines = captured.err.strip().splitlines()
+        assert len(lines) == 1
+        assert json.loads(lines[0]) == {"error": "validation suite failed", "code": 4}
 
 
 def test_angle_units_round_trip(tmp_path):
