@@ -2,9 +2,10 @@
 
 Subcommands: synth (one method, one angle), sweep (angle list x method
 list), validate (exact and GO model checks of one cylinder), compare (merge
-prior runs). Exit codes: 0 ok, 2 config error, 3 resource guard (the
-exhaustive-search budget, or out of memory), 4 numerical failure. Errors are
-emitted as a single JSON line on stderr.
+prior runs). `synth --from-manifest` and compare read a manifest through
+`config.load_manifest`. Exit codes: 0 ok, 2 config error, 3 resource guard
+(the exhaustive-search budget, or out of memory), 4 numerical failure.
+Errors are emitted as a single JSON line on stderr.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .config import METHOD_NAMES, RunConfig, load_config, override, parse_config
+from .config import METHOD_NAMES, RunConfig, load_config, load_manifest, override
 from .errors import BudgetExceededError, ConfigError, NumericalError
 from .pipeline import compare_runs, run_single, run_sweep, run_validation
 
@@ -93,13 +94,7 @@ def _load_synth_config(args: argparse.Namespace) -> RunConfig:
     if args.from_manifest and args.config:
         raise ConfigError("use either --config or --from-manifest, not both")
     if args.from_manifest:
-        manifest_path = Path(args.from_manifest)
-        if not manifest_path.exists():
-            raise ConfigError(f"manifest not found: {manifest_path}")
-        manifest = json.loads(manifest_path.read_text())
-        if not isinstance(manifest, dict) or "config" not in manifest:
-            raise ConfigError(f"{manifest_path}: no embedded config")
-        return parse_config(manifest["config"])
+        return load_manifest(args.from_manifest)
     if not args.config:
         raise ConfigError("a config file is required (-c/--config or --from-manifest)")
     return load_config(args.config)

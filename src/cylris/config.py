@@ -10,6 +10,7 @@ into the run manifest; feeding that dictionary back reproduces the run.
 
 from __future__ import annotations
 
+import json
 import math
 import numbers
 from dataclasses import dataclass, replace
@@ -17,7 +18,10 @@ from pathlib import Path
 
 from .errors import ConfigError
 
-__all__ = ["RunConfig", "SCHEMA", "load_config", "parse_config", "override", "METHOD_NAMES"]
+__all__ = [
+    "RunConfig", "SCHEMA", "load_config", "load_manifest", "parse_config", "override",
+    "METHOD_NAMES",
+]
 
 METHOD_NAMES = ("exact", "go", "es", "ga", "mpdr", "go_q")
 DISCRETE_METHODS = ("es", "ga", "mpdr", "go_q")
@@ -266,3 +270,17 @@ def load_config(path) -> RunConfig:
     if raw is None:
         raise ConfigError(f"{p}: empty config")
     return parse_config(raw)
+
+
+def load_manifest(path) -> RunConfig:
+    """Parse the config embedded in a run's manifest.json; each ConfigError names the file."""
+    p = Path(path)
+    if not p.exists():
+        raise ConfigError(f"manifest not found: {p}")
+    manifest = json.loads(p.read_text())
+    if not isinstance(manifest, dict) or "config" not in manifest:
+        raise ConfigError(f"{p}: no embedded config")
+    try:
+        return parse_config(manifest["config"])
+    except ConfigError as exc:
+        raise ConfigError(f"{p}: {exc}") from None

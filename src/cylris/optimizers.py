@@ -55,8 +55,9 @@ CONDITION_LIMIT = 1e12
 SIGMA_PANEL_NODES = 16
 SIGMA_PANEL_WIDTH = 8.0
 # Exhaustive search: every ES_PROBE_STRIDE-th exclusion-set row is probed
-# before a column is scored in full.
+# before a column is scored in full; the low part holds <= ES_LOW_COLUMNS tuples.
 ES_PROBE_STRIDE = 16
+ES_LOW_COLUMNS = 1024
 
 
 @dataclass(frozen=True)
@@ -336,13 +337,12 @@ def exhaustive_search(
     states,
     budget: int | None = None,
     workers: int | None = None,
-    batch: int = 1024,
 ) -> SynthesisResult:
     """Global minimizer of the sidelobe ratio over the full state space.
 
     Refuses to run when L^N exceeds `budget` (raise the budget explicitly,
     or use the GA/MPDR routes). Ties break to the lexicographically smallest
-    state-index tuple. The last n_lo elements, L^n_lo <= `batch`, form the
+    state-index tuple. The last n_lo elements, L^n_lo <= ES_LOW_COLUMNS, form the
     low part: the patterns of all their tuples (P_lo) and of every tuple of
     the other elements (f_hi) are built here with BLAS, and a pattern is
     then one elementwise sum f_hi[h] + P_lo. State sets closed under
@@ -354,8 +354,6 @@ def exhaustive_search(
     `evaluations` is L^N, the size of the space covered.
     """
     budget, workers = checked("method.budget", budget), checked("method.workers", workers)
-    if batch < 1:
-        raise ValueError(f"batch must be >= 1, got {batch}")
     states = np.asarray(states, dtype=complex)
     n_el, n_states = table.n_elements, states.shape[1]
     total = n_states**n_el
@@ -365,7 +363,7 @@ def exhaustive_search(
             "raise the budget or use the ga/mpdr/go_q methods"
         )
     n_lo = 0
-    while n_lo < n_el - 1 and n_states ** (n_lo + 1) <= batch:
+    while n_lo < n_el - 1 and n_states ** (n_lo + 1) <= ES_LOW_COLUMNS:
         n_lo += 1
     n_hi = n_el - n_lo
     hi_idx = _lex_tuples(

@@ -1,15 +1,17 @@
 """Batch pipelines: one synthesis run, sweeps, comparisons, self-validation.
 
-A run writes pattern.csv, metrics.json, result.json (discrete methods),
-impedance.csv (continuous syntheses) and manifest.json into its output
-directory. The manifest embeds the fully resolved config; re-running from
-it reproduces the other artifacts byte for byte, so no artifact records a
-clock.
+Every method takes one case path: `_synthesize` writes the files that the
+method alone produces (impedance.csv for exact and go; states.json and
+result.json for the discrete methods), and `run_single` writes pattern.csv,
+metrics.json and manifest.json. The manifest embeds the fully resolved
+config; re-running from it reproduces the other artifacts byte for byte, so
+no artifact records a clock. `compare` reads it as `--from-manifest` does.
 """
 
 from __future__ import annotations
 
 import json
+import math
 import sys
 from dataclasses import replace
 from pathlib import Path
@@ -18,7 +20,7 @@ import numpy as np
 import scipy
 
 from . import __version__, exact_synth, go_synth, io, meta_atom, optimizers
-from .config import DISCRETE_METHODS, RunConfig
+from .config import DISCRETE_METHODS, RunConfig, load_manifest
 from .discrete_model import (
     REFERENCE_GRID_POINTS,
     build_array,
@@ -124,11 +126,31 @@ def write_manifest(path, cfg: RunConfig, command: str) -> None:
     io.write_json(path, payload)
 
 
-def _run_continuous(
+# discrete method -> optimizer. Looked up on the module at call time, so a
+# wrapper bound to `optimizers.<name>` sees every call.
+_OPTIMIZERS = dict(
+    zip(DISCRETE_METHODS, ("exhaustive_search", "ga_synthesize", "mpdr_synthesize", "go_quantized"))
+)
+
+
+def _synthesize(
     cfg: RunConfig, ctx: _ArrayContext, method: str, phi_o: float, spec: SteeringSpec, outdir: Path
 ):
-    geom = ctx.geom
+    """Run `method`, write the files it alone produces, and return its pattern
+    on the reporting grid: impedance.csv for exact and go, states.json and
+    result.json for the discrete methods."""
     n_points = cfg.output["grid_points"]
+    if method in DISCRETE_METHODS:
+        if method != "mpdr":  # mpdr scores on no grid
+            _require_window_sample(spec, cfg.output["objective_grid_points"], "objective_grid_points")
+        states, states_text = ctx.state_sets()
+        io.write_state_sets_json(outdir / "states.json", states_text)
+        synthesize = getattr(optimizers, _OPTIMIZERS[method])
+        table = ctx.table(cfg.output["objective_grid_points"])
+        result = synthesize(table, spec, states, **cfg.params_for(method))
+        io.write_result_json(outdir / "result.json", result)
+        return far_field_discrete(ctx.table(n_points), result.gamma)
+    geom = ctx.geom
     need = exact_synth.required_grid_points(geom.k0r, method)
     if n_points < need:
         raise ConfigError(f"output.grid_points: {method} at k0R = {geom.k0r:.4g} needs >= {need}")
@@ -142,35 +164,7 @@ def _run_continuous(
         profile = go_synth.go_impedance(geom, phi_o, grid)
         pattern = go_synth.far_field_po(geom, profile.gamma, grid, **cfg.params_for(method))
         io.write_go_impedance_csv(outdir / "impedance.csv", profile)
-    m = pattern_metrics(pattern, spec)
-    io.write_pattern_csv(outdir / "pattern.csv", pattern)
-    io.write_metrics_json(outdir / "metrics.json", m)
-    return m, None
-
-
-# discrete method -> optimizer. Looked up on the module at call time, so a
-# wrapper bound to `optimizers.<name>` sees every call.
-_OPTIMIZERS = dict(
-    zip(DISCRETE_METHODS, ("exhaustive_search", "ga_synthesize", "mpdr_synthesize", "go_quantized"))
-)
-
-
-def _run_discrete(
-    cfg: RunConfig, ctx: _ArrayContext, method: str, phi_o: float, spec: SteeringSpec, outdir: Path
-):
-    if method != "mpdr":  # mpdr scores on no grid
-        _require_window_sample(spec, cfg.output["objective_grid_points"], "objective_grid_points")
-    states, states_text = ctx.state_sets()
-    io.write_state_sets_json(outdir / "states.json", states_text)
-    synthesize = getattr(optimizers, _OPTIMIZERS[method])
-    table = ctx.table(cfg.output["objective_grid_points"])
-    result = synthesize(table, spec, states, **cfg.params_for(method))
-    pattern = far_field_discrete(ctx.table(cfg.output["grid_points"]), result.gamma)
-    m = pattern_metrics(pattern, spec)
-    io.write_pattern_csv(outdir / "pattern.csv", pattern)
-    io.write_metrics_json(outdir / "metrics.json", m)
-    io.write_result_json(outdir / "result.json", result)
-    return m, result
+    return pattern
 
 
 def run_single(cfg: RunConfig, outdir=None, command: str = "synth", _context=None):
@@ -193,8 +187,10 @@ def run_single(cfg: RunConfig, outdir=None, command: str = "synth", _context=Non
         spec.warn_if_below_reference(ctx.reference_window())
     outdir = Path(outdir if outdir is not None else cfg.output["directory"])
     outdir.mkdir(parents=True, exist_ok=True)
-    run = _run_discrete if method in DISCRETE_METHODS else _run_continuous
-    m, result = run(cfg, ctx, method, phi_o, spec, outdir)
+    pattern = _synthesize(cfg, ctx, method, phi_o, spec, outdir)
+    m = pattern_metrics(pattern, spec)
+    io.write_pattern_csv(outdir / "pattern.csv", pattern)
+    io.write_metrics_json(outdir / "metrics.json", m)
     write_manifest(outdir / "manifest.json", cfg, command)
     return {
         "method": method,
@@ -202,7 +198,6 @@ def run_single(cfg: RunConfig, outdir=None, command: str = "synth", _context=Non
         "delta_phi_deg": float(np.degrees(spec.delta_phi)),
         "outdir": str(outdir),
         "metrics": m.to_dict(),
-        "result": result,
     }
 
 
@@ -285,36 +280,23 @@ def build_comparison(entries: list[dict]) -> dict:
 _METRIC_KEYS = ("peak_db", "peak_dir_deg", "sll_db", "beamwidth_deg", "target_level_db")
 
 
-def _field(doc, path: Path, key: str):
-    """The value at the dotted `key` of a JSON document read from `path`;
-    a numeric part indexes a list."""
-    for part in key.split("."):
-        try:
-            doc = doc[int(part) if part.isdigit() else part]
-        except (KeyError, IndexError, TypeError):
-            raise ConfigError(f"{path}: missing key {key!r}") from None
-    return doc
-
-
 def _read_run(run_dir) -> tuple[tuple, dict]:
     """The (settings fingerprint, comparison entry) of one written run."""
-    manifest_path, metrics_path = Path(run_dir) / "manifest.json", Path(run_dir) / "metrics.json"
-    manifest = json.loads(manifest_path.read_text())
+    cfg = load_manifest(Path(run_dir) / "manifest.json")
+    metrics_path = Path(run_dir) / "metrics.json"
     met = json.loads(metrics_path.read_text())
-
-    def conf(key):
-        return _field(manifest, manifest_path, f"config.{key}")
-
-    fingerprint = (
-        conf("geometry.radius_m"),
-        conf("geometry.freq_hz"),
-        json.dumps(manifest["config"].get("array"), sort_keys=True),  # an optional block
-        conf("output.grid_points"),
-    )
+    for key in _METRIC_KEYS:
+        if not isinstance(met, dict) or key not in met:
+            raise ConfigError(f"{metrics_path}: missing key {key!r}")
+        v = met[key]
+        number = isinstance(v, (int, float)) and not isinstance(v, bool) and math.isfinite(v)
+        if not number and (v is not None or key == "peak_dir_deg"):
+            raise ConfigError(f"{metrics_path}: {key}: expected a number, got {json.dumps(v)}")
+    fingerprint = (json.dumps([cfg.geometry, cfg.array], sort_keys=True), cfg.output["grid_points"])
     entry = {
-        "method": conf("method.name.0"),
-        "phi_o_deg": conf("steering.phi_o_deg.0"),
-        "metrics": {key: _field(met, metrics_path, key) for key in _METRIC_KEYS},
+        "method": cfg.methods[0],
+        "phi_o_deg": cfg.phi_o_deg[0],
+        "metrics": {key: met[key] for key in _METRIC_KEYS},
     }
     return fingerprint, entry
 
@@ -322,8 +304,9 @@ def _read_run(run_dir) -> tuple[tuple, dict]:
 def compare_runs(run_dirs: list, outdir) -> dict:
     """Merge previously written runs; geometries and grids must match.
 
-    A manifest or metrics file that lacks a key the comparison reads is a
-    ConfigError naming the file and the key.
+    A manifest is read as `synth --from-manifest` reads it. A metric that is
+    missing, or not a finite number (null, a non-finite value, is allowed but
+    for peak_dir_deg), is a ConfigError; every error names the file and key.
     """
     runs = [_read_run(d) for d in run_dirs]
     if len({fingerprint for fingerprint, _ in runs}) > 1:
@@ -342,13 +325,15 @@ def compare_runs(run_dirs: list, outdir) -> dict:
 def run_validation(radius_m: float = 0.4, freq_hz: float = 3.6e9) -> list[tuple[str, bool, str]]:
     """Four checks of the exact and GO models of one cylinder; (name, ok, detail) each.
 
-    The Bessel identities check scipy, not the model, so the test suite runs them.
+    All four sample one grid of max(3601, the GO grid rule) points, so every
+    check resolves the modes of the cylinder it is given. The Bessel
+    identities check scipy, not the model, so the test suite runs them.
     """
     geom = CylinderGeometry(radius_m=radius_m, freq_hz=freq_hz)
     x = geom.k0r
     checks: list[tuple[str, bool, str]] = []
 
-    grid = AngularGrid.uniform(721)
+    grid = AngularGrid.uniform(max(3601, exact_synth.required_grid_points(x, "go")))
     phi = grid.values
     worst = 0.0
     for deg in (15.0, 45.0, 75.0):
@@ -358,7 +343,6 @@ def run_validation(radius_m: float = 0.4, freq_hz: float = 3.6e9) -> list[tuple[
         worst = max(worst, float(np.abs(e - np.exp(-1j * x * np.cos(phi - phi_o))).max()))
     checks.append(("surface_field_identity", worst < 1e-6, f"max abs err {worst:.2e}"))
 
-    grid = AngularGrid.uniform(3601)
     expansion = exact_synth.modal_coefficients(geom, np.radians(15.0))
     profile = exact_synth.surface_impedance(geom, expansion, grid)
     res = exact_synth.boundary_residual(geom, expansion, profile)

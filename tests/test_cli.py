@@ -15,13 +15,14 @@ from cylris import (
     CylinderGeometry,
     build_array,
     cli,
+    exact_synth,
     go_synth,
     optimizers,
     phase_function,
     specfun,
 )
 from cylris.cli import main
-from cylris.config import _REQUIRED, METHOD_KEYS, SCHEMA, load_config, parse_config
+from cylris.config import _REQUIRED, METHOD_KEYS, METHOD_NAMES, SCHEMA, load_config, parse_config
 from cylris.errors import ConfigError
 
 
@@ -291,6 +292,19 @@ BAD_INPUTS = {
         {"config": _RUN_CONFIG},
         {k: v for k, v in _RUN_METRICS.items() if k != "target_level_db"},
     ),
+    "compare_manifest_radius_list": _compare_argv(
+        {"config": {**_RUN_CONFIG, "geometry": {**_RUN_CONFIG["geometry"], "radius_m": [0.4]}}},
+        _RUN_METRICS,
+    ),
+    "compare_metrics_peak_db_string": _compare_argv(
+        {"config": _RUN_CONFIG}, {**_RUN_METRICS, "peak_db": "x"}
+    ),
+    "compare_metrics_peak_dir_null": _compare_argv(
+        {"config": _RUN_CONFIG}, {**_RUN_METRICS, "peak_dir_deg": None}
+    ),
+    "compare_metrics_sll_bool": _compare_argv(
+        {"config": _RUN_CONFIG}, {**_RUN_METRICS, "sll_db": True}
+    ),
     "synth_manifest_5": _replay_argv(5),
     "synth_manifest_null": _replay_argv(None),
     "synth_manifest_string": _replay_argv("config"),
@@ -417,9 +431,13 @@ def test_bad_input_exits_2_with_one_json_line(tmp_path, capsys, name):
 @pytest.mark.parametrize(
     "name, path, key",
     [
-        ("compare_manifest_without_config", "manifest.json", "'config."),
-        ("compare_manifest_empty_method_list", "manifest.json", "'config.method.name.0'"),
+        ("compare_manifest_without_config", "manifest.json", "no embedded config"),
+        ("compare_manifest_empty_method_list", "manifest.json", "method.name"),
         ("compare_metrics_without_target_level", "metrics.json", "'target_level_db'"),
+        ("compare_manifest_radius_list", "manifest.json", "geometry.radius_m"),
+        ("compare_metrics_peak_db_string", "metrics.json", "peak_db"),
+        ("compare_metrics_peak_dir_null", "metrics.json", "peak_dir_deg"),
+        ("compare_metrics_sll_bool", "metrics.json", "sll_db"),
     ],
 )
 def test_compare_names_the_file_and_the_missing_key(tmp_path, capsys, name, path, key):
@@ -428,6 +446,26 @@ def test_compare_names_the_file_and_the_missing_key(tmp_path, capsys, name, path
     assert run_cli(BAD_INPUTS[name](tmp_path)) == 2
     error = one_json_error(capsys)["error"]
     assert str(tmp_path / "written" / path) in error and key in error
+
+
+def test_compare_takes_null_metrics(tmp_path):
+    """A non-finite metric is written as null; a run holding one still compares."""
+    nulls = dict.fromkeys(("peak_db", "sll_db", "beamwidth_deg", "target_level_db"))
+    assert run_cli(_compare_argv({"config": _RUN_CONFIG}, {**_RUN_METRICS, **nulls})(tmp_path)) == 0
+    (row,) = json.loads((tmp_path / "cmp" / "comparison.json").read_text())["rows"]
+    assert row["sll_db"] is None and row["pointing_err_deg"] == 0.0
+
+
+@pytest.mark.parametrize("method", METHOD_NAMES)
+def test_run_directory_holds_the_files_of_its_method(tmp_path, method):
+    out = tmp_path / "run"
+    cfg = toy_config(out, method=method)
+    if method == "ga":
+        cfg["method"].update({"population": 20, "generations": 2})
+    assert run_cli(_synth_argv(tmp_path, cfg)) == 0
+    own = {"impedance.csv"} if method in ("exact", "go") else {"result.json", "states.json"}
+    names = {"manifest.json", "metrics.json", "pattern.csv", *own}
+    assert sorted(f.name for f in out.iterdir()) == sorted(names)
 
 
 def assert_replays(run_dir, replay_dir):
@@ -824,6 +862,30 @@ class TestValidate:
         assert run_cli(["validate", *flags]) == 0
         lines = capsys.readouterr().out.splitlines()
         assert [line.split(":")[0] for line in lines] == [f"PASS {name}" for name in MODEL_CHECKS]
+
+    def test_every_check_samples_the_go_grid_rule(self, capsys, monkeypatch):
+        # k0R ~ 3016, where the GO rule asks for more than 3601 points
+        need = exact_synth.required_grid_points(CylinderGeometry(4.0, 36e9).k0r, "go")
+        assert need == 12454
+        lengths = []
+
+        def recording(fn):
+            def call(geom, arg, grid, *rest, **kwargs):
+                lengths.append(len(grid))
+                return fn(geom, arg, grid, *rest, **kwargs)
+
+            return call
+
+        for module, name in [
+            (exact_synth, "scattered_surface_field"),
+            (exact_synth, "surface_impedance"),
+            (go_synth, "go_impedance"),
+        ]:
+            monkeypatch.setattr(module, name, recording(getattr(module, name)))
+        assert run_cli(["validate", "--radius-m", "4", "--freq-hz", "36e9"]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert [line.split(":")[0] for line in lines] == [f"PASS {name}" for name in MODEL_CHECKS]
+        assert len(lengths) == 5 and min(lengths) >= need
 
     def test_a_failing_check_exits_4_with_one_json_line(self, capsys, monkeypatch):
         failing = [("boundary_residual", False, "max residual 1.00e-03")]

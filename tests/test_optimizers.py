@@ -367,14 +367,15 @@ class TestExhaustiveSearch:
             exhaustive_search(table, spec, states)
 
     @pytest.mark.parametrize("name", ES_INSTANCES)
-    def test_matches_oracles_for_every_batch_and_worker_count(self, name):
+    def test_matches_oracles_for_every_batch_and_worker_count(self, name, monkeypatch):
         table, spec, states = ES_INSTANCES[name]()
         excl = exclusion_set_mask(spec, table.grid)
         _, ref_idx = es_gemm_search(table.a, excl, states)
         assert brute_force_search(table.a, excl, states)[1] == ref_idx
         for batch in (1, 2, 37, 1024):
+            monkeypatch.setattr(optimizers, "ES_LOW_COLUMNS", batch)
             for workers in (1, 2):
-                res = exhaustive_search(table, spec, states, workers=workers, batch=batch)
+                res = exhaustive_search(table, spec, states, workers=workers)
                 assert tuple(res.state_indices) == ref_idx, (batch, workers)
                 assert res.objective == sll_objective(table, spec, res.gamma)
                 assert res.evaluations == len(states[0]) ** len(states)
@@ -420,10 +421,12 @@ class TestExhaustiveSearch:
     def test_pool_capped_at_task_count(self, toy, monkeypatch):
         seen, _ = self.recording_pool(monkeypatch, cpus=1000)
         args = (toy["table"], toy["spec"], toy["states"])
-        serial = exhaustive_search(*args, batch=2)
+        monkeypatch.setattr(optimizers, "ES_LOW_COLUMNS", 2)
+        serial = exhaustive_search(*args)
         for workers in (1000, 3):  # batch 2: 64 high tuples (element 0 halved)
-            res = exhaustive_search(*args, workers=workers, batch=2)
+            res = exhaustive_search(*args, workers=workers)
             assert np.array_equal(res.state_indices, serial.state_indices)
+        monkeypatch.setattr(optimizers, "ES_LOW_COLUMNS", 1024)
         exhaustive_search(*args, workers=8)  # batch 1024: a single task, no pool
         assert seen == [64, 3]
         assert optimizers._ES_CTX == {}
@@ -435,9 +438,10 @@ class TestExhaustiveSearch:
     def test_pool_capped_at_usable_cpus(self, toy, monkeypatch, cpus, pools, n_tasks):
         seen, tasks = self.recording_pool(monkeypatch, cpus)
         args = (toy["table"], toy["spec"], toy["states"])
-        serial = exhaustive_search(*args, batch=2)
+        monkeypatch.setattr(optimizers, "ES_LOW_COLUMNS", 2)
+        serial = exhaustive_search(*args)
         for workers in (10000, 3):
-            res = exhaustive_search(*args, workers=workers, batch=2)
+            res = exhaustive_search(*args, workers=workers)
             assert np.array_equal(res.state_indices, serial.state_indices)
             assert res.objective == serial.objective
         assert (seen, tasks) == (pools, n_tasks)
@@ -459,14 +463,15 @@ class TestExhaustiveSearch:
         with pytest.raises(ConfigError, match="^method.budget: "):
             exhaustive_search(toy["table"], toy["spec"], toy["states"], budget=float("nan"))
 
-    @pytest.mark.parametrize("kwargs", [dict(workers=0), dict(workers=-3), dict(batch=0)])
+    @pytest.mark.parametrize("kwargs", [dict(workers=0), dict(workers=-3)])
     def test_rejects_non_positive_workers_and_batch(self, toy, kwargs):
         with pytest.raises(ValueError, match=">= 1"):
             exhaustive_search(toy["table"], toy["spec"], toy["states"], **kwargs)
 
-    def test_parallel_matches_serial(self, toy):
+    def test_parallel_matches_serial(self, toy, monkeypatch):
         serial = exhaustive_search(toy["table"], toy["spec"], toy["states"], workers=1)
-        parallel = exhaustive_search(toy["table"], toy["spec"], toy["states"], workers=2, batch=37)
+        monkeypatch.setattr(optimizers, "ES_LOW_COLUMNS", 37)
+        parallel = exhaustive_search(toy["table"], toy["spec"], toy["states"], workers=2)
         assert np.array_equal(serial.state_indices, parallel.state_indices)
         assert serial.objective == parallel.objective
 
@@ -541,16 +546,18 @@ class TestProbeAndPrune:
 
         monkeypatch.setattr(optimizers, "_es_task", checked)
         for batch in batches:
-            exhaustive_search(table, spec, states, batch=batch)
+            monkeypatch.setattr(optimizers, "ES_LOW_COLUMNS", batch)
+            exhaustive_search(table, spec, states)
         assert spans
 
     @pytest.mark.parametrize("name", ES_EDGE_CASES)
-    def test_edge_cases_match_brute_force(self, name):
+    def test_edge_cases_match_brute_force(self, name, monkeypatch):
         table, spec, states = ES_EDGE_CASES[name]()
         excl = exclusion_set_mask(spec, table.grid)
         ref_val, ref_idx = brute_force_search(table.a, excl, states)
         for batch in BATCHES:
-            res = exhaustive_search(table, spec, states, batch=batch)
+            monkeypatch.setattr(optimizers, "ES_LOW_COLUMNS", batch)
+            res = exhaustive_search(table, spec, states)
             assert tuple(res.state_indices) == ref_idx, batch
             assert res.objective == pytest.approx(ref_val, rel=1e-12)
 
@@ -576,9 +583,10 @@ class TestProbeAndPrune:
         monkeypatch.setattr(optimizers, "_objective_batch", counting)
         # batch 64: 512 high tuples in four serial tasks, whose first tuples
         # are scored in full (256 of the 2^15 columns; 4096 at batch 1024)
+        monkeypatch.setattr(optimizers, "ES_LOW_COLUMNS", 64)
         for name, build in ES_CONSTANT16.items():
             scored.clear()
-            exhaustive_search(*build(), batch=64)
+            exhaustive_search(*build())
             assert sum(scored) < 0.1 * 2**15, name
 
 
