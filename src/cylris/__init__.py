@@ -31,7 +31,6 @@ from .go_synth import (
 from .discrete_model import (
     ElementArray,
     SteeringVectorTable,
-    build_array,
     conjugate_phase_excitation,
     far_field_discrete,
     reference_beamwidth,

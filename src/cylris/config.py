@@ -265,11 +265,19 @@ def load_config(path) -> RunConfig:
         raise ConfigError(f"config file not found: {p}")
     try:
         raw = yaml.safe_load(p.read_text())
-    except yaml.YAMLError as exc:
+    except (yaml.YAMLError, UnicodeDecodeError) as exc:
         raise ConfigError(f"{p}: cannot parse: {exc}") from exc
     if raw is None:
         raise ConfigError(f"{p}: empty config")
     return parse_config(raw)
+
+
+def read_json(path: Path):
+    """The JSON document in the file at `path`; if it does not parse, a ConfigError naming it."""
+    try:
+        return json.loads(path.read_text())
+    except ValueError as exc:  # not JSON, or not text
+        raise ConfigError(f"{path}: cannot parse: {exc}") from None
 
 
 def load_manifest(path) -> RunConfig:
@@ -277,7 +285,7 @@ def load_manifest(path) -> RunConfig:
     p = Path(path)
     if not p.exists():
         raise ConfigError(f"manifest not found: {p}")
-    manifest = json.loads(p.read_text())
+    manifest = read_json(p)
     if not isinstance(manifest, dict) or "config" not in manifest:
         raise ConfigError(f"{p}: no embedded config")
     try:

@@ -11,7 +11,7 @@ engine for every optimizer.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -22,7 +22,6 @@ from .patterns import PatternGrid, first_null_width
 __all__ = [
     "ElementArray",
     "SteeringVectorTable",
-    "build_array",
     "steering_vector",
     "steering_vector_at",
     "far_field_discrete",
@@ -36,52 +35,32 @@ REFERENCE_GRID_POINTS = 3601  # grid on which `reference_window` measures the lo
 
 @dataclass(frozen=True)
 class ElementArray:
-    """Element angles on the cylinder, centered on phi = 0, and their one element pattern.
+    """A uniform arc of N elements, pitch p along the arc, centered on phi = 0.
 
-    The pitch and the pattern obey their `array` config keys; the pattern
-    defaults to the key's default.
+    Each argument obeys its `array` config key, and the arc must stay on the
+    illuminated half (`config.check_span`). The element angles are computed,
+    never given: alpha_n = (n - (N+1)/2) * p / R for n = 1..N.
     """
 
     geom: CylinderGeometry
-    alphas: np.ndarray
+    n_elements: int
     arc_pitch_m: float
     element_pattern: str | None = None
+    alphas: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        for name in ("arc_pitch_m", "element_pattern"):
+        for name in ("n_elements", "arc_pitch_m", "element_pattern"):
             object.__setattr__(self, name, checked(f"array.{name}", getattr(self, name)))
-        a = np.asarray(self.alphas, dtype=float)
-        if a.ndim != 1 or a.size < 1:
-            raise ValueError("alphas must be a nonempty vector")
-        if not np.all(np.abs(a) < np.pi / 2):  # NaN fails too
-            raise ValueError("all elements must sit on the illuminated half (|alpha| < pi/2)")
-        if a.size > 1:
-            d = np.diff(a)
-            if np.any(d <= 0):
-                raise ValueError("alphas must be strictly increasing")
-            if np.max(np.abs(d - self.arc_pitch_m / self.geom.radius_m)) > 1e-12:
-                raise ValueError("alphas must be uniformly spaced by arc_pitch / R")
-        object.__setattr__(self, "alphas", a)
-
-    @property
-    def n_elements(self) -> int:
-        return self.alphas.size
+        check_span(self.n_elements, self.arc_pitch_m, self.geom.radius_m)
+        n = np.arange(1, self.n_elements + 1)
+        alphas = (n - (self.n_elements + 1) / 2.0) * (self.arc_pitch_m / self.geom.radius_m)
+        alphas.flags.writeable = False
+        object.__setattr__(self, "alphas", alphas)
 
 
-def build_array(
-    geom: CylinderGeometry, n_elements: int, arc_pitch_m: float, element_pattern: str | None = None
-) -> ElementArray:
-    """Uniform arc of n elements, pitch p along the arc, centered on phi = 0.
-
-    alpha_n = (n - (N+1)/2) * p / R for n = 1..N. Raises when the arc would
-    extend into the shadow half (`config.check_span`).
-    """
-    n_elements = checked("array.n_elements", n_elements)
-    arc_pitch_m = checked("array.arc_pitch_m", arc_pitch_m)
-    check_span(n_elements, arc_pitch_m, geom.radius_m)
-    n = np.arange(1, n_elements + 1)
-    alphas = (n - (n_elements + 1) / 2.0) * (arc_pitch_m / geom.radius_m)
-    return ElementArray(geom, alphas, arc_pitch_m, element_pattern)
+def build_array(geom, n_elements, arc_pitch_m, element_pattern=None) -> ElementArray:
+    """`ElementArray` under its former name, which the benchmark harness's tests call."""
+    return ElementArray(geom, n_elements, arc_pitch_m, element_pattern)
 
 
 def _element_gain(delta: np.ndarray, array: ElementArray) -> np.ndarray:

@@ -147,10 +147,10 @@ def _objective_db(result: SynthesisResult) -> float | None:
     return scale * math.log10(v)
 
 
-def state_sets_text(array, state_sets, metadata: dict | None = None) -> str:
+def state_sets_text(array, state_sets, metadata: dict) -> str:
     """The states.json text: an audit export of the per-element resolved state sets."""
     payload = {
-        "metadata": dict(metadata or {}),
+        "metadata": metadata,
         "elements": [
             {
                 "index": n,

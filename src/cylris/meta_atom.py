@@ -103,35 +103,39 @@ def ideal_one_bit(taper: str) -> StateTable:
     return StateTable(angles, states, {"model": "ideal_one_bit", "taper": taper})
 
 
-def load_state_table(path, metadata: dict | None = None) -> StateTable:
+def load_state_table(path) -> StateTable:
     """Load a state table from CSV: angle_deg, state_index, mag, phase_deg.
 
     One header line; every (angle, state) pair must be present, with finite
     values and 0 <= mag <= 1. Raises ValueError naming the file, and the
     offending line where there is one, on any violation, including every
-    `StateTable` rule.
+    `StateTable` rule and a file that does not decode as text.
     """
+    try:
+        with open(path, newline="") as fh:
+            lines = fh.readlines()
+    except UnicodeDecodeError as exc:
+        raise ValueError(f"{path}: {exc}") from None
+    reader = csv.reader(lines)
+    header = next(reader, None)
+    if header is None:
+        raise ValueError(f"{path}: empty file")
+    expected = ["angle_deg", "state_index", "mag", "phase_deg"]
+    if [h.strip() for h in header] != expected:
+        raise ValueError(f"{path}: header must be {','.join(expected)}")
     rows = []
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header is None:
-            raise ValueError(f"{path}: empty file")
-        expected = ["angle_deg", "state_index", "mag", "phase_deg"]
-        if [h.strip() for h in header] != expected:
-            raise ValueError(f"{path}: header must be {','.join(expected)}")
-        for ln, row in enumerate(reader, start=2):
-            if not row or all(not c.strip() for c in row):
-                continue
-            try:
-                angle, idx, mag, ph = float(row[0]), int(row[1]), float(row[2]), float(row[3])
-            except (ValueError, IndexError) as exc:
-                raise ValueError(f"{path}: line {ln}: cannot parse row {row}") from exc
-            if not all(map(math.isfinite, (angle, mag, ph))) or mag < 0:
-                raise ValueError(f"{path}: line {ln}: values must be finite and mag >= 0, got {row}")
-            if mag > 1.0 + PASSIVITY_TOL:
-                raise ValueError(f"{path}: line {ln}: |gamma| = {mag} violates passivity")
-            rows.append((angle, idx, mag, ph, ln))
+    for ln, row in enumerate(reader, start=2):
+        if not row or all(not c.strip() for c in row):
+            continue
+        try:
+            angle, idx, mag, ph = float(row[0]), int(row[1]), float(row[2]), float(row[3])
+        except (ValueError, IndexError) as exc:
+            raise ValueError(f"{path}: line {ln}: cannot parse row {row}") from exc
+        if not all(map(math.isfinite, (angle, mag, ph))) or mag < 0:
+            raise ValueError(f"{path}: line {ln}: values must be finite and mag >= 0, got {row}")
+        if mag > 1.0 + PASSIVITY_TOL:
+            raise ValueError(f"{path}: line {ln}: |gamma| = {mag} violates passivity")
+        rows.append((angle, idx, mag, ph, ln))
     if not rows:
         raise ValueError(f"{path}: no data rows")
     angles = np.array(sorted({r[0] for r in rows}))
@@ -149,7 +153,7 @@ def load_state_table(path, metadata: dict | None = None) -> StateTable:
         i, l = missing[0]
         raise ValueError(f"{path}: missing entry for angle {angles[i]} deg, state {l}")
     try:
-        return StateTable(angles, table, dict(metadata or {}))
+        return StateTable(angles, table)
     except ValueError as exc:
         raise ValueError(f"{path}: {exc}") from None
 

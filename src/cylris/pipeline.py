@@ -20,10 +20,10 @@ import numpy as np
 import scipy
 
 from . import __version__, exact_synth, go_synth, io, meta_atom, optimizers
-from .config import DISCRETE_METHODS, RunConfig, load_manifest
+from .config import DISCRETE_METHODS, RunConfig, load_manifest, read_json
 from .discrete_model import (
     REFERENCE_GRID_POINTS,
-    build_array,
+    ElementArray,
     far_field_discrete,
     reference_beamwidth,
     steering_vector,
@@ -48,7 +48,7 @@ class _ArrayContext:
 
     def __init__(self, cfg: RunConfig):
         self.geom = CylinderGeometry(**cfg.geometry)
-        self.array = None if cfg.array is None else build_array(self.geom, **cfg.array)
+        self.array = None if cfg.array is None else ElementArray(self.geom, **cfg.array)
         self._meta_atom = cfg.meta_atom
         self._kept: dict = {}
 
@@ -284,7 +284,7 @@ def _read_run(run_dir) -> tuple[tuple, dict]:
     """The (settings fingerprint, comparison entry) of one written run."""
     cfg = load_manifest(Path(run_dir) / "manifest.json")
     metrics_path = Path(run_dir) / "metrics.json"
-    met = json.loads(metrics_path.read_text())
+    met = read_json(metrics_path)
     for key in _METRIC_KEYS:
         if not isinstance(met, dict) or key not in met:
             raise ConfigError(f"{metrics_path}: missing key {key!r}")

@@ -4,8 +4,8 @@ import pytest
 from cylris import (
     AngularGrid,
     CylinderGeometry,
+    ElementArray,
     SteeringSpec,
-    build_array,
     ideal_one_bit,
     reference_window,
     state_sets_for_array,
@@ -22,7 +22,7 @@ def geom():
 
 @pytest.fixture(scope="session")
 def array30(geom):
-    return build_array(geom, FULL_SCALE["n_elements"], FULL_SCALE["arc_pitch_m"])
+    return ElementArray(geom, FULL_SCALE["n_elements"], FULL_SCALE["arc_pitch_m"])
 
 
 @pytest.fixture(scope="session")
@@ -48,7 +48,7 @@ def toy():
     is unique and tie-handling never decides a comparison.
     """
     geom = CylinderGeometry(radius_m=0.12, freq_hz=3.6e9)
-    array = build_array(geom, 8, 0.038)
+    array = ElementArray(geom, 8, 0.038)
     table = steering_vector(array, AngularGrid.uniform(361))
     states = state_sets_for_array(ideal_one_bit("constant"), array)
     spec = SteeringSpec(phi_o=np.radians(20.0), delta_phi=reference_window(array))

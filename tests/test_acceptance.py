@@ -14,9 +14,9 @@ import yaml
 from cylris import (
     AngularGrid,
     CylinderGeometry,
+    ElementArray,
     SteeringSpec,
     boundary_residual,
-    build_array,
     build_sigma,
     exclusion_set_mask,
     exhaustive_search,
@@ -55,7 +55,7 @@ def _report(name: str, ok: bool, detail: str = "") -> None:
 @pytest.fixture(scope="module")
 def full_scale():
     geom = CylinderGeometry(0.4, 3.6e9)
-    array = build_array(geom, 30, 0.038)
+    array = ElementArray(geom, 30, 0.038)
     return geom, array
 
 

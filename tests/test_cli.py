@@ -13,7 +13,7 @@ import yaml
 from cylris import (
     AngularGrid,
     CylinderGeometry,
-    build_array,
+    ElementArray,
     cli,
     exact_synth,
     go_synth,
@@ -122,7 +122,7 @@ def library_call(key, toy, **kwargs):
     if section == "geometry":
         return CylinderGeometry(**{"radius_m": 0.12, "freq_hz": 3.6e9, **kwargs})
     if section == "array":
-        return build_array(toy["geom"], **{"n_elements": 8, "arc_pitch_m": 0.038, **kwargs})
+        return ElementArray(toy["geom"], **{"n_elements": 8, "arc_pitch_m": 0.038, **kwargs})
     if name == "shadow_model":
         grid = AngularGrid.uniform(256)
         gamma = np.exp(-1j * phase_function(toy["geom"], toy["spec"].phi_o, grid.values))
@@ -282,6 +282,25 @@ def _replay_argv(manifest):
     return argv
 
 
+def _then_write(argv_of, name, data: bytes):
+    """`argv_of`, once the file `name` under the test directory holds `data`."""
+    def argv(tmp):
+        args = argv_of(tmp)
+        (tmp / name).write_bytes(data)
+        return args
+
+    return argv
+
+
+def _state_table_argv(tmp):
+    """`synth` on the toy config with the state table `atom.csv`."""
+    table = {"model": "table", "table_path": str(tmp / "atom.csv")}
+    return _synth_argv(tmp, toy_config(tmp / "run", meta_atom=table))
+
+
+# text saved as UTF-16, which is not UTF-8 from its byte-order mark on
+UTF16 = "angle_deg,state_index,mag,phase_deg\n".encode("utf-16")
+
 BAD_INPUTS = {
     "compare_missing_run_dir": lambda tmp: ["compare", str(tmp / "missing"), "-o", str(tmp)],
     "compare_manifest_without_config": _compare_argv({"tool": "cylris"}, _RUN_METRICS),
@@ -308,6 +327,14 @@ BAD_INPUTS = {
     "synth_manifest_5": _replay_argv(5),
     "synth_manifest_null": _replay_argv(None),
     "synth_manifest_string": _replay_argv("config"),
+    "synth_manifest_not_json": _then_write(_replay_argv({}), "manifest.json", b"{"),
+    "compare_metrics_not_json": _then_write(
+        _compare_argv({"config": _RUN_CONFIG}, _RUN_METRICS), "written/metrics.json", b"{"
+    ),
+    "synth_config_not_utf8": _then_write(
+        lambda tmp: _synth_argv(tmp, toy_config(tmp / "run")), "config.yaml", UTF16
+    ),
+    "synth_state_table_not_utf8": _then_write(_state_table_argv, "atom.csv", UTF16),
 }
 
 
@@ -446,6 +473,21 @@ def test_compare_names_the_file_and_the_missing_key(tmp_path, capsys, name, path
     assert run_cli(BAD_INPUTS[name](tmp_path)) == 2
     error = one_json_error(capsys)["error"]
     assert str(tmp_path / "written" / path) in error and key in error
+
+
+@pytest.mark.parametrize(
+    "name, path",
+    [
+        ("synth_manifest_not_json", "manifest.json"),
+        ("compare_metrics_not_json", "written/metrics.json"),
+        ("synth_config_not_utf8", "config.yaml"),
+        ("synth_state_table_not_utf8", "atom.csv"),
+    ],
+)
+def test_unreadable_file_exits_2_naming_it(tmp_path, capsys, name, path):
+    assert run_cli(BAD_INPUTS[name](tmp_path)) == 2
+    assert str(tmp_path / path) in one_json_error(capsys)["error"]
+    assert not (tmp_path / "run" / "pattern.csv").exists()
 
 
 def test_compare_takes_null_metrics(tmp_path):
@@ -972,13 +1014,13 @@ def test_cos2_element_pattern_through_pipeline(tmp_path):
 
 def test_cos2_window_is_the_cos2_reference_lobe(tmp_path):
     """ref_factor scales the cophasal lobe of the configured array, element pattern included."""
-    from cylris import AngularGrid, build_array, reference_beamwidth, steering_vector
+    from cylris import AngularGrid, ElementArray, reference_beamwidth, steering_vector
     from cylris.pipeline import run_single
 
     cfg = toy_config(tmp_path / "run", method="go_q")
     cfg["array"]["element_pattern"] = "cos2"
     out = run_single(parse_config(cfg))
-    array = build_array(CylinderGeometry(radius_m=0.12, freq_hz=3.6e9), 8, 0.038, "cos2")
+    array = ElementArray(CylinderGeometry(radius_m=0.12, freq_hz=3.6e9), 8, 0.038, "cos2")
     lobe = reference_beamwidth(steering_vector(array, AngularGrid.uniform(3601)), 0.0)
     assert out["delta_phi_deg"] == pytest.approx(1.2 * np.degrees(lobe), rel=1e-12)
     assert out["delta_phi_deg"] == pytest.approx(62.50, abs=0.005)

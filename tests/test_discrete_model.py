@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -6,7 +8,6 @@ from cylris import (
     CylinderGeometry,
     ElementArray,
     SteeringSpec,
-    build_array,
     conjugate_phase_excitation,
     far_field_discrete,
     reference_beamwidth,
@@ -37,7 +38,7 @@ def half_power_reference_width(table, phi_o):
 
 class TestBuildArray:
     def test_single_element_centered(self, geom):
-        arr = build_array(geom, 1, 0.038)
+        arr = ElementArray(geom, 1, 0.038)
         assert arr.alphas[0] == 0.0
 
     def test_full_scale_layout(self, array30):
@@ -49,30 +50,40 @@ class TestBuildArray:
 
     def test_numpy_scalars_act_as_python_numbers(self, array30):
         geom = CylinderGeometry(radius_m=np.float64(0.4), freq_hz=np.int64(3_600_000_000))
-        arr = build_array(geom, np.int64(30), np.float64(0.038))
+        arr = ElementArray(geom, np.int64(30), np.float64(0.038))
         assert arr.geom == array30.geom
         assert np.array_equal(arr.alphas, array30.alphas)
 
     def test_nan_pitch_is_refused(self, geom):
         with pytest.raises(ConfigError, match="^array.arc_pitch_m: must be finite"):
-            build_array(geom, 8, float("nan"))
+            ElementArray(geom, 8, float("nan"))
 
     def test_overlong_array_rejected(self, geom):
         with pytest.raises(ValueError):
-            build_array(geom, 40, 0.038)
+            ElementArray(geom, 40, 0.038)
 
     @pytest.mark.parametrize(
-        "alpha",
-        [np.pi / 2, -np.pi / 2, np.radians(95.0), np.nan],
-        ids=["at", "at_minus", "past", "nan"],
+        "n_elements, span",
+        [(1, np.pi), (2, np.pi), (30, np.pi), (2, np.radians(190.0))],
+        ids=["at_one", "at", "at_thirty", "past"],
     )
-    def test_element_at_or_past_a_quarter_turn_rejected(self, geom, alpha):
+    def test_element_at_or_past_a_quarter_turn_rejected(self, geom, n_elements, span):
+        """The span rule n p / R < pi is what keeps every element below a quarter turn."""
         with pytest.raises(ValueError, match="illuminated half"):
-            ElementArray(geom, np.array([alpha]), 0.038)
+            ElementArray(geom, n_elements, span * geom.radius_m / n_elements)
+
+    def test_alphas_are_the_uniform_arc_bit_for_bit(self, array30):
+        step = 0.038 / array30.geom.radius_m
+        assert np.array_equal(array30.alphas, (np.arange(1, 31) - 15.5) * step)
+        assert not array30.alphas.flags.writeable
+        arr = dataclasses.replace(array30, n_elements=8)
+        assert np.array_equal(arr.alphas, (np.arange(1, 9) - 4.5) * step)
+        with pytest.raises(ValueError, match="illuminated half"):
+            dataclasses.replace(array30, n_elements=40)
 
     def test_unknown_element_pattern_rejected(self, geom):
         with pytest.raises(ValueError, match="element_pattern"):
-            build_array(geom, 8, 0.038, element_pattern="cos3")
+            ElementArray(geom, 8, 0.038, element_pattern="cos3")
 
 
 class TestSteeringVector:
@@ -90,7 +101,7 @@ class TestSteeringVector:
         assert steering_vector_at(array30, float(phi))[n] == 0.0
 
     def test_apex_round_trip_phase(self, geom):
-        arr = build_array(geom, 1, 0.038)
+        arr = ElementArray(geom, 1, 0.038)
         a = steering_vector_at(arr, 0.0)
         assert a[0] == pytest.approx(np.exp(2j * K0R), rel=1e-12)
 
@@ -104,7 +115,7 @@ class TestSteeringVector:
     def test_cos2_pattern_scales_by_illumination(self, array30, obj_grid):
         assert array30.element_pattern == "cos"
         t1 = steering_vector(array30, obj_grid)
-        t2 = steering_vector(build_array(array30.geom, 30, 0.038, "cos2"), obj_grid)
+        t2 = steering_vector(ElementArray(array30.geom, 30, 0.038, "cos2"), obj_grid)
         scale = np.cos(array30.alphas)[None, :]
         assert np.allclose(t2.a, t1.a * scale, rtol=0, atol=1e-15)
 
@@ -126,7 +137,7 @@ class TestFarFieldDiscrete:
         assert np.abs(p12.f - (p1.f + p2.f)).max() < 1e-12 * np.abs(p12.f).max()
 
     def test_symmetric_pair_even_pattern(self, geom):
-        arr = build_array(geom, 2, 0.038)
+        arr = ElementArray(geom, 2, 0.038)
         assert arr.alphas[0] == -arr.alphas[1]
         grid = AngularGrid.uniform(3600)
         table = steering_vector(arr, grid)
@@ -176,7 +187,7 @@ class TestReferenceBeamwidth:
     def test_monotone_in_element_count(self, geom):
         widths = [
             half_power_reference_width(
-                reference_table(build_array(geom, n, 0.038)), np.radians(15.0)
+                reference_table(ElementArray(geom, n, 0.038)), np.radians(15.0)
             )
             for n in (10, 20, 30)
         ]

@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 
@@ -5,11 +7,11 @@ from cylris import (
     CylinderGeometry,
     ElementArray,
     StateTable,
-    build_array,
     ideal_one_bit,
     load_state_table,
     state_sets_for_array,
 )
+from cylris.io import state_sets_text
 
 from oracles import state_sets_loop
 
@@ -105,8 +107,11 @@ class TestLoadStateTable:
         with pytest.raises(ValueError, match=f"{path}: angles_deg must lie in"):
             load_state_table(path)
 
-    def test_metadata_round_trip(self, tmp_path):
+    def test_metadata_round_trip(self, tmp_path, geom):
+        """A loaded table has no metadata; a table's metadata is what states.json exports."""
         body = "0,0,1.0,0\n0,1,1.0,180\n"
+        loaded = load_state_table(self._write(tmp_path, body))
+        assert loaded.metadata == {}
         descriptor = {
             "patch_side_mm": 26.0,
             "lattice_period_mm": 38.0,
@@ -114,8 +119,10 @@ class TestLoadStateTable:
             "diode_on": "series RL, 1.5 ohm, 0.7 nH",
             "diode_off": "series LC, 0.7 nH, 0.15 pF",
         }
-        t = load_state_table(self._write(tmp_path, body), metadata=descriptor)
-        assert t.metadata == descriptor
+        t = StateTable(loaded.angles_deg, loaded.states, descriptor)
+        array = ElementArray(geom, 2, 0.038)
+        text = state_sets_text(array, state_sets_for_array(t, array), t.metadata)
+        assert json.loads(text)["metadata"] == descriptor
 
     def test_phase_unwrap_across_rows(self, tmp_path):
         # raw phases jump across the +-180 branch; interpolation must follow
@@ -173,11 +180,12 @@ class TestStateSetForElement:
         t = ideal_one_bit("cosine")
         assert np.array_equal(t.states_at(0.0), t.states[0])
         # the middle element of an odd array sits at alpha = 0
-        array = build_array(CylinderGeometry(0.4, 3.6e9), 9, 0.038)
+        array = ElementArray(CylinderGeometry(0.4, 3.6e9), 9, 0.038)
         assert np.array_equal(state_sets_for_array(t, array)[4], t.states[0])
 
     def test_even_symmetry_in_alpha(self, geom):
-        array = ElementArray(geom, np.radians([-33.0, 33.0]), geom.radius_m * np.radians(66.0))
+        array = ElementArray(geom, 2, geom.radius_m * np.radians(66.0))
+        assert np.degrees(array.alphas) == pytest.approx([-33.0, 33.0], rel=1e-12)
         sets = state_sets_for_array(ideal_one_bit("cosine"), array)
         assert np.array_equal(sets[0], sets[1])
 
@@ -189,8 +197,9 @@ class TestStateSetForElement:
 
     def test_element_at_sixty_degrees_ninety_apart(self, geom):
         t = ideal_one_bit("cosine")
-        array = ElementArray(geom, np.radians([-60.0, 60.0]), geom.radius_m * np.radians(120.0))
-        for s in state_sets_for_array(t, array):
+        array = ElementArray(geom, 4, geom.radius_m * np.radians(40.0))
+        assert np.degrees(array.alphas) == pytest.approx([-60.0, -20.0, 20.0, 60.0], rel=1e-12)
+        for s in state_sets_for_array(t, array)[[0, -1]]:
             assert np.degrees(np.angle(s[1] / s[0])) == pytest.approx(90.0, abs=1e-9)
 
     def test_constant_table_flip_is_negation(self, array30):
@@ -201,7 +210,8 @@ class TestStateSetForElement:
     @pytest.mark.parametrize("n_elements", RADIUS_OF_ARRAY)
     @pytest.mark.parametrize("name", TABLES)
     def test_matches_per_element_oracle(self, name, n_elements):
-        array = build_array(CylinderGeometry(RADIUS_OF_ARRAY[n_elements], 3.6e9), n_elements, 0.038)
+        geom = CylinderGeometry(RADIUS_OF_ARRAY[n_elements], 3.6e9)
+        array = ElementArray(geom, n_elements, 0.038)
         got = state_sets_for_array(TABLES[name], array)
         assert got.shape == (n_elements, TABLES[name].states.shape[1])
         assert np.array_equal(got, state_sets_loop(TABLES[name], array))

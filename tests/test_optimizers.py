@@ -6,11 +6,11 @@ from cylris import (
     BudgetExceededError,
     ConfigError,
     CylinderGeometry,
+    ElementArray,
     SigmaMatrices,
     StateTable,
     SteeringSpec,
     SteeringVectorTable,
-    build_array,
     build_sigma,
     conjugate_phase_excitation,
     exclusion_set_mask,
@@ -58,7 +58,7 @@ def toy_sigma(toy):
 
 class TestBuildSigma:
     def test_single_element_full_power(self, geom, obj_grid):
-        arr = build_array(geom, 1, 0.038)
+        arr = ElementArray(geom, 1, 0.038)
         table = steering_vector(arr, obj_grid)
         spec = SteeringSpec(phi_o=0.0, delta_phi=np.radians(10.0))
         sig = build_sigma(table, spec)
@@ -79,7 +79,7 @@ class TestBuildSigma:
             assert ev.min() >= -1e-9 * m.trace().real / m.shape[0]
 
     def test_off_diagonal_conjugate_pair(self, geom, obj_grid):
-        arr = build_array(geom, 2, 0.038)
+        arr = ElementArray(geom, 2, 0.038)
         table = steering_vector(arr, obj_grid)
         sig = build_sigma(table, SteeringSpec(phi_o=0.0, delta_phi=np.radians(10.0)))
         assert sig.sigma[0, 1] == np.conj(sig.sigma[1, 0])
@@ -97,7 +97,7 @@ class TestBuildSigma:
     )
     def test_panel_self_convergence(self, monkeypatch, radius_m, freq_hz, n_elements, pitch_m):
         """Doubling the nodes per panel moves no entry beyond rounding."""
-        arr = build_array(CylinderGeometry(radius_m, freq_hz), n_elements, pitch_m)
+        arr = ElementArray(CylinderGeometry(radius_m, freq_hz), n_elements, pitch_m)
         table = steering_vector(arr, AngularGrid.uniform(361))
         spec = SteeringSpec(phi_o=np.radians(35.0), delta_phi=reference_window(arr))
         sig = build_sigma(table, spec)
@@ -112,7 +112,7 @@ class TestBuildSigma:
         [(0.0, "cos"), (47.0, "cos"), (178.0, "cos"), (47.0, "cos2")],  # 178: wraps +-pi
     )
     def test_sigma_s_matches_quad_oracle(self, array30, obj_grid, phi_o_deg, element_pattern):
-        array = build_array(array30.geom, 30, 0.038, element_pattern)
+        array = ElementArray(array30.geom, 30, 0.038, element_pattern)
         table = steering_vector(array, obj_grid)
         spec = SteeringSpec(phi_o=np.radians(phi_o_deg), delta_phi=np.radians(14.5))
         sig = build_sigma(table, spec)
@@ -315,7 +315,7 @@ class TestMpdrSynthesize:
 def _es_instance(n_elements, radius_m, phi_o_deg, model="constant", states_of=None, first=None):
     def build():
         geom = CylinderGeometry(radius_m=radius_m, freq_hz=3.6e9)
-        array = build_array(geom, n_elements, 0.038)
+        array = ElementArray(geom, n_elements, 0.038)
         states = state_sets_for_array(states_of or ideal_one_bit(model), array)
         if first is not None:
             states[0] = np.asarray(first, dtype=complex)
@@ -342,7 +342,7 @@ ES_INSTANCES = {
 
 class TestExhaustiveSearch:
     def test_single_element_direct_comparison(self, geom):
-        arr = build_array(geom, 1, 0.038)
+        arr = ElementArray(geom, 1, 0.038)
         grid = AngularGrid.uniform(361)
         table = steering_vector(arr, grid)
         states = state_sets_for_array(ideal_one_bit("constant"), arr)
@@ -481,7 +481,7 @@ def _es_edge_case(name):
 
     def build():
         geom = CylinderGeometry(radius_m=0.12, freq_hz=3.6e9)
-        array = build_array(geom, 8, 0.038)
+        array = ElementArray(geom, 8, 0.038)
         grid = AngularGrid.uniform(361)
         table = steering_vector(array, grid)
         states = state_sets_for_array(ideal_one_bit("constant"), array)
@@ -676,7 +676,7 @@ class TestGoQuantized:
 
     @pytest.mark.parametrize("n_elements, radius_m", [(8, 0.12), (30, 0.4)])
     def test_go_reflection_is_the_cophasal_excitation(self, n_elements, radius_m):
-        array = build_array(CylinderGeometry(radius_m, 3.6e9), n_elements, 0.038)
+        array = ElementArray(CylinderGeometry(radius_m, 3.6e9), n_elements, 0.038)
         for phi_o in np.radians(np.arange(-80.0, 81.0)):
             assert np.array_equal(
                 conjugate_phase_excitation(array, phi_o),
@@ -690,7 +690,7 @@ class TestSllObjective:
         [(8, 0.12, 361, "cos"), (30, 0.4, 3601, "cos"), (30, 0.4, 361, "cos2")],
     )
     def test_matches_masked_ratio_oracle(self, n_elements, radius_m, grid_points, element_pattern):
-        array = build_array(CylinderGeometry(radius_m, 3.6e9), n_elements, 0.038, element_pattern)
+        array = ElementArray(CylinderGeometry(radius_m, 3.6e9), n_elements, 0.038, element_pattern)
         table = steering_vector(array, AngularGrid.uniform(grid_points))
         rng = np.random.default_rng(n_elements + grid_points)
         specs = [
