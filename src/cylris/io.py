@@ -164,7 +164,7 @@ def state_sets_text(array, state_sets, metadata: dict) -> str:
 
 
 def write_state_sets_json(path, text: str) -> None:
-    """Write a `state_sets_text` export; a sweep makes the text once for all its cases."""
+    """Write a `state_sets_text` export."""
     write_json(path, text)
 
 

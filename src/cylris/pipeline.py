@@ -6,6 +6,7 @@ result.json for the discrete methods), and `run_single` writes pattern.csv,
 metrics.json and manifest.json. The manifest embeds the fully resolved
 config; re-running from it reproduces the other artifacts byte for byte, so
 no artifact records a clock. `compare` reads it as `--from-manifest` does.
+Per-array work is cached by value, as `exact_synth` caches its Bessel table.
 """
 
 from __future__ import annotations
@@ -14,6 +15,7 @@ import json
 import math
 import sys
 from dataclasses import replace
+from functools import lru_cache
 from pathlib import Path
 
 import numpy as np
@@ -24,6 +26,7 @@ from .config import DISCRETE_METHODS, RunConfig, load_manifest, read_json
 from .discrete_model import (
     REFERENCE_GRID_POINTS,
     ElementArray,
+    SteeringVectorTable,
     far_field_discrete,
     reference_beamwidth,
     steering_vector,
@@ -35,62 +38,25 @@ from .patterns import pattern_metrics
 __all__ = ["run_single", "run_sweep", "build_comparison", "run_validation", "write_manifest"]
 
 
-class _ArrayContext:
-    """The per-array work of a run, built on first use and then kept.
-
-    Every case of a sweep shares one geometry, array, state model and set
-    of grid sizes, so `run_sweep` hands one context to all of them: each
-    steering table (keyed by grid size), the boresight reference window,
-    measured on the REFERENCE_GRID_POINTS table, and the per-element state
-    sets with their states.json text are built once. `clear` drops the kept
-    arrays; the context rebuilds them on demand.
-    """
-
-    def __init__(self, cfg: RunConfig):
-        self.geom = CylinderGeometry(**cfg.geometry)
-        self.array = None if cfg.array is None else ElementArray(self.geom, **cfg.array)
-        self._meta_atom = cfg.meta_atom
-        self._kept: dict = {}
-
-    def _once(self, key, build):
-        if key not in self._kept:
-            self._kept[key] = build()
-        return self._kept[key]
-
-    def table(self, n_points: int):
-        return self._once(
-            n_points, lambda: steering_vector(self.array, AngularGrid.uniform(n_points))
-        )
-
-    def reference_window(self) -> float:
-        """The boresight null-based lobe width (`reference_window` at factor 1)."""
-        return self._once(
-            "reference",
-            lambda: reference_beamwidth(self.table(REFERENCE_GRID_POINTS), 0.0),
-        )
-
-    def state_sets(self) -> tuple[np.ndarray, str]:
-        """The (N, L) per-element state sets and their states.json text."""
-
-        def build():
-            spec = self._meta_atom
-            if spec["model"] == "table":
-                table = meta_atom.load_state_table(spec["table_path"])
-            else:
-                table = meta_atom.ideal_one_bit(taper=spec["model"])
-            states = meta_atom.state_sets_for_array(table, self.array)
-            return states, io.state_sets_text(self.array, states, table.metadata)
-
-        return self._once("states", build)
-
-    def clear(self) -> None:
-        self._kept.clear()
+@lru_cache(maxsize=2)  # a sweep has one array; two bound the memory held
+def _steering_table(array: ElementArray, n_points: int) -> SteeringVectorTable:
+    """The steering table of `array` on the n_points grid, read-only and built
+    once per (array, grid size) in a process."""
+    table = steering_vector(array, AngularGrid.uniform(n_points))
+    table.a.flags.writeable = False
+    return table
 
 
-def _delta_phi(cfg: RunConfig, ctx: _ArrayContext) -> float:
+@lru_cache(maxsize=2)
+def _reference_lobe(array: ElementArray) -> float:
+    """The boresight null-based lobe width (`reference_window` at factor 1)."""
+    return reference_beamwidth(_steering_table(array, REFERENCE_GRID_POINTS), 0.0)
+
+
+def _delta_phi(cfg: RunConfig, array: ElementArray | None) -> float:
     if cfg.steering["delta_phi_mode"] == "absolute_deg":
         return float(np.radians(cfg.steering["value"]))
-    return cfg.steering["value"] * ctx.reference_window()
+    return cfg.steering["value"] * _reference_lobe(array)
 
 
 def _require_window_sample(spec: SteeringSpec, n_points: int, key: str) -> None:
@@ -134,26 +100,35 @@ _OPTIMIZERS = dict(
 
 
 def _synthesize(
-    cfg: RunConfig, ctx: _ArrayContext, method: str, phi_o: float, spec: SteeringSpec, outdir: Path
+    cfg: RunConfig, geom, array, method: str, phi_o: float, spec: SteeringSpec, outdir: Path
 ):
     """Run `method`, write the files it alone produces, and return its pattern
     on the reporting grid: impedance.csv for exact and go, states.json and
-    result.json for the discrete methods."""
+    result.json for the discrete methods. Every grid it samples must resolve
+    the cylinder's 2M+1 modes (the GO projection needs twice as many)."""
     n_points = cfg.output["grid_points"]
+    keys = ["grid_points"]
+    if method in DISCRETE_METHODS and method != "mpdr":  # mpdr scores on no grid
+        _require_window_sample(spec, cfg.output["objective_grid_points"], "objective_grid_points")
+        keys.append("objective_grid_points")
+    need = exact_synth.required_grid_points(geom.k0r, "go" if method == "go" else "exact")
+    for key in keys:
+        if cfg.output[key] < need:
+            raise ConfigError(f"output.{key}: {method} at k0R = {geom.k0r:.4g} needs >= {need}")
     if method in DISCRETE_METHODS:
-        if method != "mpdr":  # mpdr scores on no grid
-            _require_window_sample(spec, cfg.output["objective_grid_points"], "objective_grid_points")
-        states, states_text = ctx.state_sets()
+        atom = cfg.meta_atom
+        if atom["model"] == "table":
+            state_table = meta_atom.load_state_table(atom["table_path"])
+        else:
+            state_table = meta_atom.ideal_one_bit(taper=atom["model"])
+        states = meta_atom.state_sets_for_array(state_table, array)
+        states_text = io.state_sets_text(array, states, state_table.metadata)
         io.write_state_sets_json(outdir / "states.json", states_text)
         synthesize = getattr(optimizers, _OPTIMIZERS[method])
-        table = ctx.table(cfg.output["objective_grid_points"])
+        table = _steering_table(array, cfg.output["objective_grid_points"])
         result = synthesize(table, spec, states, **cfg.params_for(method))
         io.write_result_json(outdir / "result.json", result)
-        return far_field_discrete(ctx.table(n_points), result.gamma)
-    geom = ctx.geom
-    need = exact_synth.required_grid_points(geom.k0r, method)
-    if n_points < need:
-        raise ConfigError(f"output.grid_points: {method} at k0R = {geom.k0r:.4g} needs >= {need}")
+        return far_field_discrete(_steering_table(array, n_points), result.gamma)
     grid = AngularGrid.uniform(n_points)
     if method == "exact":
         expansion = exact_synth.modal_coefficients(geom, phi_o)
@@ -167,27 +142,29 @@ def _synthesize(
     return pattern
 
 
-def run_single(cfg: RunConfig, outdir=None, command: str = "synth", _context=None):
+def run_single(cfg: RunConfig, outdir=None, command: str = "synth"):
     """Run one (method, steering angle) synthesis and write its artifacts.
 
-    `_context` is the per-array work `run_sweep` shares between the cases of
-    one sweep; without it the run builds its own.
+    Steering tables and the reference lobe are cached by array value, so a
+    sweep's cases, and later runs on its array, build each once; the state
+    sets are resolved per case, so a state-table file is never read stale.
     """
     for key, axis in (("method.name", cfg.methods), ("steering.phi_o_deg", cfg.phi_o_deg)):
         if len(axis) != 1:
             raise ConfigError(
                 f"{key}: one run takes one entry, got {len(axis)}; sweep runs a list"
             )
-    ctx = _context if _context is not None else _ArrayContext(cfg)
+    geom = CylinderGeometry(**cfg.geometry)
+    array = None if cfg.array is None else ElementArray(geom, **cfg.array)
     method = cfg.methods[0]
     phi_o = float(np.radians(cfg.phi_o_deg[0]))
-    spec = SteeringSpec(phi_o=phi_o, delta_phi=_delta_phi(cfg, ctx))
+    spec = SteeringSpec(phi_o=phi_o, delta_phi=_delta_phi(cfg, array))
     _require_window_sample(spec, cfg.output["grid_points"], "grid_points")
-    if ctx.array is not None:
-        spec.warn_if_below_reference(ctx.reference_window())
+    if array is not None:
+        spec.warn_if_below_reference(_reference_lobe(array))
     outdir = Path(outdir if outdir is not None else cfg.output["directory"])
     outdir.mkdir(parents=True, exist_ok=True)
-    pattern = _synthesize(cfg, ctx, method, phi_o, spec, outdir)
+    pattern = _synthesize(cfg, geom, array, method, phi_o, spec, outdir)
     m = pattern_metrics(pattern, spec)
     io.write_pattern_csv(outdir / "pattern.csv", pattern)
     io.write_metrics_json(outdir / "metrics.json", m)
@@ -216,16 +193,12 @@ def run_sweep(cfg: RunConfig, outdir=None):
     outdir = Path(outdir if outdir is not None else cfg.output["directory"])
     outdir.mkdir(parents=True, exist_ok=True)
     entries = []
-    ctx = _ArrayContext(cfg)  # every case shares the array; emptied on return
-    try:
-        for method in cfg.methods:
-            for phi_deg, label in zip(cfg.phi_o_deg, labels):
-                sub = outdir / f"{method}_phi{label}"
-                output = {**cfg.output, "directory": str(sub)}
-                one = replace(cfg, methods=(method,), phi_o_deg=(phi_deg,), output=output)
-                entries.append(run_single(one, outdir=sub, command="sweep", _context=ctx))
-    finally:
-        ctx.clear()
+    for method in cfg.methods:
+        for phi_deg, label in zip(cfg.phi_o_deg, labels):
+            sub = outdir / f"{method}_phi{label}"
+            output = {**cfg.output, "directory": str(sub)}
+            one = replace(cfg, methods=(method,), phi_o_deg=(phi_deg,), output=output)
+            entries.append(run_single(one, outdir=sub, command="sweep"))
     comparison = build_comparison(entries)
     io.write_json(outdir / "comparison.json", comparison)
     io.write_comparison_csv(outdir / "comparison.csv", comparison)
@@ -351,6 +324,11 @@ def run_validation(radius_m: float = 0.4, freq_hz: float = 3.6e9) -> list[tuple[
 
     go_profile = go_synth.go_impedance(geom, np.radians(15.0), grid)
     ok_mask = ~go_profile.singular_mask
+    if not ok_mask.any():  # a tiny cylinder: every sample is singular
+        return checks + [
+            (name, False, "no non-singular sample")
+            for name in ("go_purely_imaginary", "go_round_trip_identity")
+        ]
     re_worst = float(np.abs(go_profile.z_over_eta0.real[ok_mask]).max())
     checks.append(("go_purely_imaginary", re_worst < 1e-12, f"max |Re| {re_worst:.2e}"))
 

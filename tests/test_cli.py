@@ -239,6 +239,33 @@ class TestSynthCommand:
         assert not (out / "pattern.csv").exists()
         assert run_cli(argv[:3] + ["--grid-points", str(floor)]) == 0
 
+    @pytest.mark.parametrize(
+        "method, key",
+        [
+            ("ga", "grid_points"),
+            ("mpdr", "grid_points"),
+            ("es", "objective_grid_points"),
+            ("ga", "objective_grid_points"),
+            ("go_q", "objective_grid_points"),
+        ],
+    )
+    def test_discrete_grid_too_coarse_for_modes(self, tmp_path, capsys, method, key):
+        """A discrete run's grids obey the exact rule: a coarser one would
+        report metrics of an unresolved pattern."""
+        out = tmp_path / "run"
+        cfg = toy_config(out, method=method)
+        if method == "ga":
+            cfg["method"].update(population=20, generations=2)
+        need = exact_synth.required_grid_points(CylinderGeometry(**cfg["geometry"]).k0r, "exact")
+        assert need == 65
+        cfg["output"][key] = need - 1
+        assert run_cli(["synth", "-c", str(write_config(tmp_path, cfg))]) == 2
+        payload = one_json_error(capsys)
+        assert payload["code"] == 2 and f"output.{key}: {method}" in payload["error"]
+        assert not (out / "pattern.csv").exists() and not (out / "states.json").exists()
+        cfg["output"][key] = need
+        assert run_cli(["synth", "-c", str(write_config(tmp_path, cfg))]) == 0
+
     def test_cli_overrides(self, tmp_path):
         out = tmp_path / "a"
         out2 = tmp_path / "b"
@@ -335,6 +362,14 @@ BAD_INPUTS = {
         lambda tmp: _synth_argv(tmp, toy_config(tmp / "run")), "config.yaml", UTF16
     ),
     "synth_state_table_not_utf8": _then_write(_state_table_argv, "atom.csv", UTF16),
+    # grids too coarse for the toy array's 65 modes
+    "synth_discrete_grid_points_5_cli": lambda tmp: [
+        "synth", "-c", str(REPO / "configs" / "toy_es.yaml"), "--method", "ga",
+        "--grid-points", "5", "-o", str(tmp / "run"),
+    ],
+    "synth_objective_grid_points_64": lambda tmp: _synth_argv(
+        tmp, toy_config(tmp / "run", method="es", output={"objective_grid_points": 64})
+    ),
 }
 
 
@@ -749,8 +784,9 @@ class TestSweepAndCompare:
         ids=["method_sweep", "toy"],
     )
     def test_sweep_builds_each_table_once(self, tmp_path, monkeypatch, source, tables):
-        """One steering table per distinct grid, per sweep, and one reference
-        lobe, measured on the 3601-point table."""
+        """One steering table per distinct grid and one reference lobe, measured
+        on the 3601-point table, per sweep; a second sweep of the same array
+        builds none, and a cached table is read-only."""
         from cylris import discrete_model, pipeline
 
         if source == "method_sweep":
@@ -774,24 +810,24 @@ class TestSweepAndCompare:
             calls["reference_beamwidth"].append(len(table.grid))
             return reference_beamwidth(table, *args, **kwargs)
 
-        contexts = []
-        run_single = pipeline.run_single
-
-        def recording_run_single(*args, _context=None, **kwargs):
-            contexts.append(_context)
-            return run_single(*args, _context=_context, **kwargs)
-
         for module in (pipeline, discrete_model):
             monkeypatch.setattr(module, "steering_vector", counted_steering_vector)
         monkeypatch.setattr(pipeline, "reference_beamwidth", counted_reference_beamwidth)
-        monkeypatch.setattr(pipeline, "run_single", recording_run_single)
+        pipeline._steering_table.cache_clear()
+        pipeline._reference_lobe.cache_clear()
         pipeline.run_sweep(cfg)
         # objective, output and reference grids, each built once
         assert sorted(calls["steering_vector"]) == tables
         assert calls["reference_beamwidth"] == [3601]
-        n_cases = len(cfg.methods) * len(cfg.phi_o_deg)
-        assert len(contexts) == n_cases and all(c is contexts[0] for c in contexts)
-        assert not contexts[0]._kept  # emptied when the sweep returns
+        for made in calls.values():
+            made.clear()
+        pipeline.run_sweep(cfg, outdir=tmp_path / "again")
+        assert calls == {"steering_vector": [], "reference_beamwidth": []}
+        array = discrete_model.ElementArray(CylinderGeometry(**cfg.geometry), **cfg.array)
+        table = pipeline._steering_table(array, cfg.output["objective_grid_points"])
+        assert calls["steering_vector"] == [] and not table.a.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            table.a[0, 0] = 0.0
 
     def test_sweep_calls_each_optimizer_through_its_module_attribute(self, tmp_path, monkeypatch):
         """A wrapper bound to `optimizers.<name>` sees every case of its method."""
@@ -939,6 +975,18 @@ class TestValidate:
         assert len(lines) == 1
         assert json.loads(lines[0]) == {"error": "validation suite failed", "code": 4}
 
+    def test_a_cylinder_with_no_non_singular_go_sample_fails(self, capsys):
+        # k0R ~ 7.5e-8: every GO sample is singular, so the GO checks have nothing to read
+        assert run_cli(["validate", "--radius-m", "1e-9"]) == 4
+        captured = capsys.readouterr()
+        assert captured.out.splitlines()[2:] == [
+            "FAIL go_purely_imaginary: no non-singular sample",
+            "FAIL go_round_trip_identity: no non-singular sample",
+        ]
+        lines = captured.err.strip().splitlines()
+        assert len(lines) == 1
+        assert json.loads(lines[0]) == {"error": "validation suite failed", "code": 4}
+
 
 def test_angle_units_round_trip(tmp_path):
     # degrees in config and files, radians inside
@@ -1063,9 +1111,14 @@ OUT_OF_MEMORY = {
     "grid_points_1e12": lambda tmp: [
         "-c", str(REPO / "configs" / "toy_es.yaml"), "--grid-points", "1000000000000"
     ],
+    # with a reporting grid that resolves the cylinder's modes, so MPDR starts
     "mpdr_radius_30000m": lambda tmp: [
         "-c",
-        str(write_config(tmp, toy_config(tmp / "run", geometry={"radius_m": 30000.0}))),
+        str(write_config(tmp, toy_config(
+            tmp / "run", geometry={"radius_m": 30000.0},
+            output={"grid_points": exact_synth.required_grid_points(
+                CylinderGeometry(30000.0, 3.6e9).k0r, "exact")},
+        ))),
     ],
 }
 

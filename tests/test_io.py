@@ -123,9 +123,10 @@ def _config(tmp_path, name, geometry, array, meta_atom, methods, phi, grid_point
 
 
 def test_runs_in_one_process_match_fresh_processes(tmp_path):
-    """Two sweeps that differ in array and state model, then a standalone synth,
-    all in this process: every case's states.json and pattern.csv equals that
-    of the same run in a fresh interpreter."""
+    """Sweeps that differ in array and state model, the first array swept again
+    at other angles (its tables then come from the cache), then a standalone
+    synth, all in this process: every case's files equal those of the same
+    run in a fresh interpreter."""
     atom = tmp_path / "atom.csv"
     atom.write_text(
         "angle_deg,state_index,mag,phase_deg\n0,0,1.0,0\n0,1,1.0,180\n"
@@ -134,6 +135,9 @@ def test_runs_in_one_process_match_fresh_processes(tmp_path):
     runs = [
         ("sweep", _config(tmp_path, "shipped", _SHIPPED, {"n_elements": 30, "arc_pitch_m": 0.038},
                           {"model": "constant"}, ["mpdr", "go_q"], [20.0, 40.0], 721)),
+        ("sweep", _config(tmp_path, "shipped_again", _SHIPPED,
+                          {"n_elements": 30, "arc_pitch_m": 0.038}, {"model": "constant"},
+                          ["mpdr", "go_q"], [25.0, 55.0], 721)),
         ("sweep", _config(tmp_path, "toy", _TOY, {"n_elements": 8, "arc_pitch_m": 0.038},
                           {"model": "table", "table_path": str(atom)}, ["mpdr", "go_q"],
                           [20.0, 40.0], 721)),
@@ -151,9 +155,9 @@ def test_runs_in_one_process_match_fresh_processes(tmp_path):
             env=env, check=True, capture_output=True,
         )
         compared = 0
-        for name in ("states.json", "pattern.csv"):
+        for name in ("states.json", "result.json", "pattern.csv", "metrics.json"):
             for a in sorted(here.rglob(name)):
                 b = fresh / a.relative_to(here)
                 assert a.read_bytes() == b.read_bytes(), (path.stem, a.relative_to(here))
                 compared += 1
-        assert compared == (8 if command == "sweep" else 2)
+        assert compared == (16 if command == "sweep" else 4)
