@@ -148,19 +148,25 @@ def _objective_db(result: SynthesisResult) -> float | None:
 
 
 def state_sets_text(array, state_sets, metadata: dict) -> str:
-    """The states.json text: an audit export of the per-element resolved state sets."""
-    payload = {
-        "metadata": metadata,
-        "elements": [
-            {
-                "index": n,
-                "alpha_deg": float(np.degrees(array.alphas[n])),
-                "states": [{"re": float(s.real), "im": float(s.imag)} for s in states],
-            }
-            for n, states in enumerate(state_sets)
-        ],
-    }
-    return _json_text(payload)
+    """The states.json text: an audit export of the per-element resolved state sets.
+
+    The bytes are `_json_text` of {"metadata": metadata, "elements": [{"index": n,
+    "alpha_deg": ..., "states": [{"re": ..., "im": ...}, ...]}, ...]}, the
+    (N, L) `state_sets` holding L >= 2 finite values each. That fixed shape is
+    formatted here, as json's indenting encoder is pure Python.
+    """
+    elements = []
+    for n, (alpha, states) in enumerate(zip(np.degrees(array.alphas).tolist(), state_sets)):
+        cells = ",\n".join(
+            f'        {{\n          "im": {im!r},\n          "re": {re!r}\n        }}'
+            for re, im in zip(states.real.tolist(), states.imag.tolist())
+        )
+        elements.append(
+            f'    {{\n      "alpha_deg": {alpha!r},\n      "index": {n},\n'
+            f'      "states": [\n{cells}\n      ]\n    }}'
+        )
+    meta = _json_text(metadata).rstrip("\n").replace("\n", "\n  ")  # nested one level
+    return '{\n  "elements": [\n' + ",\n".join(elements) + f'\n  ],\n  "metadata": {meta}\n}}\n'
 
 
 def write_state_sets_json(path, text: str) -> None:

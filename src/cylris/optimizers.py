@@ -12,8 +12,11 @@ keyword parameters named as the `method` config keys, whose defaults and
 rules are those keys' (`config.checked`). ES, GA and GO score
 candidates with the same sidelobe objective on the table's grid: the ratio
 of the largest pattern magnitude inside the exclusion set to the global
-peak. Results are deterministic given the RNG seed; exhaustive-search
-chunks may be fanned out over processes without changing the outcome.
+peak. GA scores its population in single precision and rescores its
+winner in double; ES, the floor the others are judged against, scores in
+double throughout. Results are deterministic given the RNG seed;
+exhaustive-search chunks may be fanned out over processes without changing
+the outcome.
 """
 
 from __future__ import annotations
@@ -432,9 +435,12 @@ def ga_synthesize(
     Tournament selection of size two, uniform crossover, per-gene mutation
     to a different random state, elitism of one. A single seeded generator
     drives every draw, so identical seeds give identical results.
-    `history` holds the best objective of the initial population and after
-    each generation (generations + 1 values). A parameter left out takes
-    its `method` config default, the full-scale setting.
+    The population is scored in single precision (`table.a` and the states
+    cast to complex64 once per call); `objective` is the winner rescored in
+    double by `sll_objective`. `history` holds the single-precision best of
+    the initial population and after each generation (generations + 1
+    values). A parameter left out takes its `method` config default, the
+    full-scale setting.
     """
     population = checked("method.population", population)
     generations = checked("method.generations", generations)
@@ -446,10 +452,10 @@ def ga_synthesize(
     cols = np.arange(n_el)
     excl = exclusion_set_mask(spec, table.grid)
     rng = np.random.default_rng(seed)
+    a32, states32 = table.a.astype(np.complex64), states.astype(np.complex64)
 
     def evaluate(pop_idx: np.ndarray) -> np.ndarray:
-        gammas = states[cols[None, :], pop_idx].T
-        return _objective_batch(table.a @ gammas, excl)
+        return _objective_batch(a32 @ states32[cols[None, :], pop_idx].T, excl)
 
     pop = rng.integers(0, n_states, size=(population, n_el))
     fit = evaluate(pop)
@@ -481,11 +487,12 @@ def ga_synthesize(
             best_fit, best_chrom = float(fit[i]), pop[i].copy()
         history.append(best_fit)
 
+    gamma = states[cols, best_chrom]
     return SynthesisResult(
         method="ga",
-        gamma=states[cols, best_chrom],
+        gamma=gamma,
         state_indices=best_chrom,
-        objective=best_fit,
+        objective=sll_objective(table, spec, gamma),
         objective_kind="sll_ratio",
         evaluations=evaluations,
         rng_seed=seed,

@@ -18,6 +18,8 @@ state-set oracle (the library's former per-element path) resolves one
 element and one angle at a time and interpolates state by state. The
 CSV writers (the library's former ones) build one line per row from numpy
 scalars, `repr(float(x))` per cell, and write the whole file in one call.
+The states-export oracle (the library's former `state_sets_text`) builds
+the whole payload as dicts of numpy-derived floats for `json` to indent.
 The radial-function oracles (the library's former per-call formulas)
 evaluate J_m(k0 R) and H_m(k0 R) afresh in every call, over every order
 of the call, negative ones included, instead of reading one shared table.
@@ -446,3 +448,18 @@ def comparison_csv_loop(path, comparison: dict, columns) -> None:
             cells.append("" if v is None else (v if isinstance(v, str) else repr(float(v))))
         lines.append(",".join(cells))
     _write_lines(path, lines)
+
+
+def state_sets_payload(array, state_sets, metadata: dict) -> dict:
+    """The states.json payload, one element and one state at a time."""
+    return {
+        "metadata": metadata,
+        "elements": [
+            {
+                "index": n,
+                "alpha_deg": float(np.degrees(array.alphas[n])),
+                "states": [{"re": float(s.real), "im": float(s.imag)} for s in states],
+            }
+            for n, states in enumerate(state_sets)
+        ],
+    }

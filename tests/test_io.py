@@ -10,11 +10,26 @@ import numpy as np
 import pytest
 import yaml
 
-from cylris import AngularGrid, GoProfile, ImpedanceProfile, io
+from cylris import (
+    AngularGrid,
+    CylinderGeometry,
+    ElementArray,
+    GoProfile,
+    ImpedanceProfile,
+    StateTable,
+    ideal_one_bit,
+    io,
+    state_sets_for_array,
+)
 from cylris.cli import main
 from cylris.patterns import PatternGrid
 
-from oracles import comparison_csv_loop, impedance_csv_loop, pattern_csv_loop
+from oracles import (
+    comparison_csv_loop,
+    impedance_csv_loop,
+    pattern_csv_loop,
+    state_sets_payload,
+)
 
 REPO = Path(__file__).resolve().parents[1]
 
@@ -99,6 +114,39 @@ class TestCsvWritersMatchRowLoops:
     def test_cached_degree_column_is_the_grid(self, n):
         fresh = tuple(repr(float(d)) for d in AngularGrid.uniform(n).degrees)
         assert io._degree_cells(n) == fresh
+
+
+# A 4-state, angle-independent table, so every element carries its values
+# verbatim: repr forms that are easy to get wrong (signed zero, the smallest
+# subnormal, an exponent form), with metadata that nests, escapes and sorts.
+FOUR_STATES = StateTable(
+    angles_deg=[0.0],
+    states=[[complex(-1.0, -0.0), complex(-0.0, 1.0), complex(5e-324, -1.0), 0.9 + 1e-5j]],
+    metadata={
+        "patch_side_mm": 26.0,
+        "diode": {"on": "series RL", "off": None, "pins": [1, 2]},
+        "note": "line 1\nline \"2\" \u00b0",
+        "bias_ok": True,
+    },
+)
+
+
+@pytest.mark.parametrize(
+    "n_elements, radius_m, table",
+    [
+        (8, 0.12, ideal_one_bit("constant")),
+        (30, 0.4, ideal_one_bit("constant")),
+        (30, 0.4, ideal_one_bit("cosine")),
+        (8, 0.12, FOUR_STATES),
+        (30, 0.4, FOUR_STATES),
+    ],
+    ids=["toy", "shipped", "shipped-cosine", "toy-4-states", "shipped-4-states"],
+)
+def test_state_sets_text_matches_json_reference(n_elements, radius_m, table):
+    array = ElementArray(CylinderGeometry(radius_m, 3.6e9), n_elements, 0.038)
+    sets = state_sets_for_array(table, array)
+    expected = io._json_text(state_sets_payload(array, sets, table.metadata))
+    assert io.state_sets_text(array, sets, table.metadata) == expected
 
 
 # --- no state carried between runs of one process ---------------------------

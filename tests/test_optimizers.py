@@ -1,3 +1,5 @@
+import functools
+
 import numpy as np
 import pytest
 
@@ -649,11 +651,61 @@ class TestGa:
         assert fast.objective == slow.objective
 
     def test_objective_recomputable(self, toy):
+        """The population is scored in single precision, the winner rescored in double."""
         cfg = dict(population=40, generations=10)
         res = ga_synthesize(toy["table"], toy["spec"], toy["states"], **cfg, seed=2)
-        assert sll_objective(toy["table"], toy["spec"], res.gamma) == pytest.approx(
-            res.objective, rel=1e-12
+        assert res.objective == sll_objective(toy["table"], toy["spec"], res.gamma)
+
+
+class TestScoringPrecision:
+    """GA scores its population in complex64; ES, go_q and sll_objective score in
+    complex128, as ES is the floor the other methods are judged against."""
+
+    @pytest.fixture
+    def blocks(self, monkeypatch):
+        seen = []
+        batch = optimizers._objective_batch
+
+        def recording(patterns, excl):
+            seen.append((patterns.dtype.name, patterns.shape[1]))
+            return batch(patterns, excl)
+
+        monkeypatch.setattr(optimizers, "_objective_batch", recording)
+        return seen
+
+    def test_ga_population_single_winner_double(self, toy, blocks):
+        cfg = dict(population=30, generations=6)
+        ga_synthesize(toy["table"], toy["spec"], toy["states"], **cfg, seed=5)
+        scored = [("complex64", 30)] + [("complex64", 29)] * 6
+        assert blocks == scored + [("complex128", 1)]  # the rescore of the winner
+
+    @pytest.mark.parametrize(
+        "run",
+        [
+            functools.partial(exhaustive_search, workers=1),
+            go_quantized,
+            lambda table, spec, states: sll_objective(table, spec, states[:, 0]),
+        ],
+        ids=["es", "go_q", "sll_objective"],
+    )
+    def test_others_score_in_double(self, toy, blocks, run):
+        run(toy["table"], toy["spec"], toy["states"])
+        assert blocks and {dtype for dtype, _ in blocks} == {"complex128"}
+
+    @pytest.mark.parametrize("phi_o_deg", [15.0, 30.0, 45.0, 60.0, 75.0])
+    def test_single_precision_score_error_bound(self, array30, obj_grid, phi_o_deg):
+        """A 1000-chromosome +-1 population on the shipped array scores in complex64
+        within a relative 1e-5 of complex128 (5.0e-7 at worst, at 45 deg)."""
+        table = steering_vector(array30, obj_grid)
+        spec = SteeringSpec(np.radians(phi_o_deg), reference_window(array30, 1.2))
+        excl = exclusion_set_mask(spec, table.grid)
+        gammas = np.random.default_rng(int(phi_o_deg)).choice([1.0, -1.0], size=(30, 1000))
+        double = optimizers._objective_batch(table.a @ gammas, excl)
+        single = optimizers._objective_batch(
+            table.a.astype(np.complex64) @ gammas.astype(np.complex64), excl
         )
+        assert single.dtype == np.float32
+        np.testing.assert_allclose(single, double, rtol=1e-5, atol=0)
 
 
 class TestGoQuantized:
