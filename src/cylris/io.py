@@ -139,12 +139,9 @@ def write_metrics_json(path, metrics: PatternMetrics) -> None:
 
 
 def _objective_db(result: SynthesisResult) -> float | None:
-    """Method objective in dB: 20 log10 for ratios, 10 log10 for powers."""
+    """The sidelobe-ratio objective in dB; None unless it is positive and finite."""
     v = result.objective
-    if not math.isfinite(v) or v <= 0:
-        return None
-    scale = 10.0 if result.objective_kind == "sidelobe_power" else 20.0
-    return scale * math.log10(v)
+    return 20.0 * math.log10(v) if math.isfinite(v) and v > 0 else None
 
 
 def state_sets_text(array, state_sets, metadata: dict) -> str:
@@ -178,7 +175,6 @@ def write_result_json(path, result: SynthesisResult) -> None:
     payload = {
         "method": result.method,
         "objective": result.objective if math.isfinite(result.objective) else None,
-        "objective_kind": result.objective_kind,
         "objective_db": _objective_db(result),
         "evaluations": result.evaluations,
         "rng_seed": result.rng_seed,

@@ -9,12 +9,11 @@
 Every optimizer is called as fn(table, spec, states, **params): the steering
 table, the steering spec, the (N, L) array of per-element state sets, and
 keyword parameters named as the `method` config keys, whose defaults and
-rules are those keys' (`config.checked`). ES, GA and GO score
-candidates with the same sidelobe objective on the table's grid: the ratio
-of the largest pattern magnitude inside the exclusion set to the global
-peak. GA scores its population in single precision and rescores its
-winner in double; ES, the floor the others are judged against, scores in
-double throughout. Results are deterministic given the RNG seed;
+rules are those keys' (`config.checked`). Every method reports one
+objective, `sll_objective`; ES, GA and GO also search by it, MPDR by the
+exclusion-set power. GA scores its population in single precision and
+rescores its winner in double; ES, the floor the others are judged against,
+scores in double throughout. Results are deterministic given the RNG seed;
 exhaustive-search chunks may be fanned out over processes without changing
 the outcome.
 """
@@ -76,16 +75,13 @@ class SynthesisResult:
     """Outcome of one synthesis run.
 
     gamma is the chosen excitation (N,) and state_indices the state each
-    element takes. objective_kind is "sll_ratio" (linear Linf ratio, used by
-    ES/GA/GO) or "sidelobe_power" (quadratic exclusion-set power, used by
-    MPDR); the value is always recomputable from gamma.
+    element takes; objective is `sll_objective` of gamma, for every method.
     """
 
     method: str
     gamma: np.ndarray
     state_indices: np.ndarray
     objective: float
-    objective_kind: str
     evaluations: int
     rng_seed: int | None = None
     history: tuple[float, ...] | None = None
@@ -185,15 +181,25 @@ def project_to_states(gamma, states) -> tuple[np.ndarray, np.ndarray]:
 
 
 def sll_objective(table: SteeringVectorTable, spec: SteeringSpec, gamma) -> float:
-    """Sidelobe objective: max |F| over the exclusion set / global max |F|."""
-    g = np.asarray(gamma, dtype=complex)
-    return float(_objective_batch((table.a @ g)[:, None], exclusion_set_mask(spec, table.grid))[0])
+    """Sidelobe objective: max |F| over the exclusion set / max |F|, on the `_objective_rows`."""
+    a, excl = _objective_rows(table, spec)
+    return float(_objective_batch((a @ np.asarray(gamma, dtype=complex))[:, None], excl)[0])
+
+
+def _objective_rows(table: SteeringVectorTable, spec: SteeringSpec):
+    """The grid rows, then the exact window-edge rows a(phi_o -+ delta_phi/2) where
+    the open exclusion set attains its supremum, and their exclusion mask. The
+    edge rows are exclusion rows only when the grid's set is non-empty, so an
+    empty set still scores 0.0."""
+    excl = exclusion_set_mask(spec, table.grid)
+    edges = steering_vector_at(table.array, spec.phi_o + np.array([-0.5, 0.5]) * spec.delta_phi)
+    return np.vstack([table.a, edges]), np.append(excl, [excl.any()] * 2)
 
 
 def _objective_batch(patterns: np.ndarray, excl: np.ndarray) -> np.ndarray:
-    """Sidelobe ratio of each column of a pattern block (grid x batch).
+    """Sidelobe ratio of each column of a pattern block (rows x batch).
 
-    The exclusion set is a few runs of grid rows, so its maximum is taken
+    The exclusion set is a few runs of rows, so its maximum is taken
     over row slices rather than a copy of most of the block; the peak adds
     the protected-window rows. max is exact, so this is max|F| over the
     exclusion set / max|F|: inf for an all-zero pattern, 0.0 when the
@@ -236,8 +242,8 @@ def mpdr_synthesize(table: SteeringVectorTable, spec: SteeringSpec, states) -> S
     Only the phases of x = `mpdr_relaxed`(Sigma, a_o) are kept, times the
     mean state magnitude, so the scale of Sigma moves no state. The
     `_psi_candidates` are projected in one broadcast and scored as
-    g^H Sigma_S g in ascending psi; the first minimum wins. `evaluations`
-    is the candidate count. Of `table`, only the array is read.
+    g^H Sigma_S g in ascending psi; the first minimum wins and reports its
+    `sll_objective`. `evaluations` is the candidate count.
     """
     states = np.asarray(states, dtype=complex)
     sig = build_sigma(table, spec)
@@ -252,8 +258,7 @@ def mpdr_synthesize(table: SteeringVectorTable, spec: SteeringSpec, states) -> S
         method="mpdr",
         gamma=values[k],
         state_indices=idx[k],
-        objective=scores[k],
-        objective_kind="sidelobe_power",
+        objective=sll_objective(table, spec, values[k]),
         evaluations=psis.size,
     )
 
@@ -271,10 +276,11 @@ def _usable_cpus() -> int:
 
 
 def _es_init(p_lo, f_hi, excl):
-    """Share the search tables; probe rows: the window, then every
-    ES_PROBE_STRIDE-th exclusion-set row."""
-    window = np.flatnonzero(~excl)
-    probe = np.concatenate([window, np.flatnonzero(excl)[::ES_PROBE_STRIDE]])
+    """Share the search tables; probe rows: the window, then the last two
+    exclusion rows (the window edges, when the set is non-empty) and every
+    ES_PROBE_STRIDE-th one before them."""
+    window, side = np.flatnonzero(~excl), np.flatnonzero(excl)
+    probe = np.concatenate([window, side[-2:], side[:-2:ES_PROBE_STRIDE]])
     _ES_CTX.update(p_lo=p_lo, f_hi=f_hi, excl=excl, probe=probe, n_window=window.size)
 
 
@@ -285,8 +291,9 @@ def _es_task(span: tuple[int, int]) -> tuple[float, int, int]:
     f_hi[h] + P_lo, scored column by column; the first minimum wins.
     Probe and prune: once the best is finite, a column whose probed
     sidelobe / exact window peak (`_es_init` rows) already reaches it cannot
-    win, as division rounds monotonically and the reduction is strict, so
-    it is never scored in full.
+    win, and is never scored in full. The probed sidelobe is a lower bound,
+    as the edge rows are exclusion rows too; division rounds monotonically
+    and the reduction is strict.
     """
     start, stop = span
     p_lo, f_hi, excl = _ES_CTX["p_lo"], _ES_CTX["f_hi"], _ES_CTX["excl"]
@@ -353,7 +360,7 @@ def exhaustive_search(
     `workers > 1` fans the high tuples out over processes that run no BLAS,
     at most one per usable CPU and one per task; the ordered reduction keeps
     the result identical to a serial run. Each task scores in full only the
-    columns that a few probed grid rows cannot rule out (`_es_task`).
+    columns that a few probed rows cannot rule out (`_es_task`).
     `evaluations` is L^N, the size of the space covered.
     """
     budget, workers = checked("method.budget", budget), checked("method.workers", workers)
@@ -369,14 +376,11 @@ def exhaustive_search(
     while n_lo < n_el - 1 and n_states ** (n_lo + 1) <= ES_LOW_COLUMNS:
         n_lo += 1
     n_hi = n_el - n_lo
-    hi_idx = _lex_tuples(
-        [_negation_representatives(states)] + [range(n_states)] * (n_hi - 1)
-    )
+    hi_idx = _lex_tuples([_negation_representatives(states)] + [range(n_states)] * (n_hi - 1))
     lo_idx = _lex_tuples([range(n_states)] * n_lo)
-    a = table.a
-    p_lo = a[:, n_hi:] @ states[np.arange(n_hi, n_el), lo_idx].T  # (grid, L^n_lo)
-    f_hi = states[np.arange(n_hi), hi_idx] @ a[:, :n_hi].T  # (high tuples, grid)
-    excl = exclusion_set_mask(spec, table.grid)
+    a, excl = _objective_rows(table, spec)
+    p_lo = a[:, n_hi:] @ states[np.arange(n_hi, n_el), lo_idx].T  # (rows, L^n_lo)
+    f_hi = states[np.arange(n_hi), hi_idx] @ a[:, :n_hi].T  # (high tuples, rows)
     n_proc = min(workers, _usable_cpus())
     step = -(-len(hi_idx) // (4 * n_proc))  # about four equal tasks per process
     spans = [(s, min(s + step, len(hi_idx))) for s in range(0, len(hi_idx), step)]
@@ -403,7 +407,6 @@ def exhaustive_search(
         gamma=gamma,
         state_indices=idx,
         objective=sll_objective(table, spec, gamma),
-        objective_kind="sll_ratio",
         evaluations=total,
     )
 
@@ -435,12 +438,12 @@ def ga_synthesize(
     Tournament selection of size two, uniform crossover, per-gene mutation
     to a different random state, elitism of one. A single seeded generator
     drives every draw, so identical seeds give identical results.
-    The population is scored in single precision (`table.a` and the states
-    cast to complex64 once per call); `objective` is the winner rescored in
-    double by `sll_objective`. `history` holds the single-precision best of
-    the initial population and after each generation (generations + 1
-    values). A parameter left out takes its `method` config default, the
-    full-scale setting.
+    The population is scored in single precision (the `_objective_rows` and
+    the states cast to complex64 once per call); `objective` is the winner
+    rescored in double by `sll_objective`. `history` holds the
+    single-precision best of the initial population and after each
+    generation (generations + 1 values). A parameter left out takes its
+    `method` config default, the full-scale setting.
     """
     population = checked("method.population", population)
     generations = checked("method.generations", generations)
@@ -450,9 +453,9 @@ def ga_synthesize(
     states = np.asarray(states, dtype=complex)
     n_el, n_states = table.n_elements, states.shape[1]
     cols = np.arange(n_el)
-    excl = exclusion_set_mask(spec, table.grid)
+    a, excl = _objective_rows(table, spec)
     rng = np.random.default_rng(seed)
-    a32, states32 = table.a.astype(np.complex64), states.astype(np.complex64)
+    a32, states32 = a.astype(np.complex64), states.astype(np.complex64)
 
     def evaluate(pop_idx: np.ndarray) -> np.ndarray:
         return _objective_batch(a32 @ states32[cols[None, :], pop_idx].T, excl)
@@ -493,7 +496,6 @@ def ga_synthesize(
         gamma=gamma,
         state_indices=best_chrom,
         objective=sll_objective(table, spec, gamma),
-        objective_kind="sll_ratio",
         evaluations=evaluations,
         rng_seed=seed,
         history=tuple(history),
@@ -513,6 +515,5 @@ def go_quantized(table: SteeringVectorTable, spec: SteeringSpec, states) -> Synt
         gamma=gamma,
         state_indices=idx,
         objective=sll_objective(table, spec, gamma),
-        objective_kind="sll_ratio",
         evaluations=1,
     )

@@ -30,6 +30,7 @@ from .discrete_model import (
     far_field_discrete,
     reference_beamwidth,
     steering_vector,
+    steering_vector_at,
 )
 from .errors import ConfigError
 from .geometry import AngularGrid, CylinderGeometry, SteeringSpec, exclusion_set_mask, wrap_angle
@@ -104,18 +105,20 @@ def _synthesize(
 ):
     """Run `method`, write the files it alone produces, and return its pattern
     on the reporting grid: impedance.csv for exact and go, states.json and
-    result.json for the discrete methods. Every grid it samples must resolve
-    the cylinder's 2M+1 modes (the GO projection needs twice as many)."""
+    result.json for the discrete methods. Every grid it samples must have a
+    sample inside the protected window and one outside, and resolve the
+    cylinder's 2M+1 modes (the GO projection needs twice as many); a discrete
+    method's steering angle must be faced by some element."""
     n_points = cfg.output["grid_points"]
-    keys = ["grid_points"]
-    if method in DISCRETE_METHODS and method != "mpdr":  # mpdr scores on no grid
-        _require_window_sample(spec, cfg.output["objective_grid_points"], "objective_grid_points")
-        keys.append("objective_grid_points")
+    discrete = method in DISCRETE_METHODS
     need = exact_synth.required_grid_points(geom.k0r, "go" if method == "go" else "exact")
-    for key in keys:
+    for key in ("grid_points", "objective_grid_points") if discrete else ("grid_points",):
+        _require_window_sample(spec, cfg.output[key], key)
         if cfg.output[key] < need:
             raise ConfigError(f"output.{key}: {method} at k0R = {geom.k0r:.4g} needs >= {need}")
-    if method in DISCRETE_METHODS:
+    if discrete:
+        if not steering_vector_at(array, phi_o).any():
+            raise ConfigError(f"steering.phi_o_deg: no element faces {np.degrees(phi_o):g} deg")
         atom = cfg.meta_atom
         if atom["model"] == "table":
             state_table = meta_atom.load_state_table(atom["table_path"])
@@ -159,7 +162,6 @@ def run_single(cfg: RunConfig, outdir=None, command: str = "synth"):
     method = cfg.methods[0]
     phi_o = float(np.radians(cfg.phi_o_deg[0]))
     spec = SteeringSpec(phi_o=phi_o, delta_phi=_delta_phi(cfg, array))
-    _require_window_sample(spec, cfg.output["grid_points"], "grid_points")
     if array is not None:
         spec.warn_if_below_reference(_reference_lobe(array))
     outdir = Path(outdir if outdir is not None else cfg.output["directory"])

@@ -7,12 +7,15 @@ boundary-condition series in reverse order with mpmath's own cylinder
 functions, the modal-sum oracle builds the dense grid x (2M+1) phase matrix
 the FFT kernel avoids, and the search, psi-scan and crossover oracles walk
 candidates, elements and pairs one at a time with plain Python loops. The
-sidelobe-ratio oracle (the library's former `sll_objective`) takes the
-exclusion-set maximum through a boolean-mask copy instead of row runs. The
-gemm search (the library's former kernel) scores whole enumeration batches
-by one matrix product instead of split sums, the span oracle (the library's
-former `_es_task`) scores every column of every high tuple with no probe
-and prune, and Sigma_S is integrated entry by entry with adaptive `quad`
+sidelobe-ratio oracles score the grid rows and the two window-edge rows
+(`window_edge_rows`, one `steering_vector_at` call per edge) as separate
+patterns and take the exclusion-set maximum through a boolean-mask copy
+instead of row runs; the edges count as exclusion rows only when the grid's
+exclusion set is non-empty. The gemm search (the library's former kernel)
+scores whole enumeration batches by one matrix product instead of split
+sums, the span oracle (the library's former `_es_task`) scores every column
+of every high tuple with no probe and prune (on the tables the library
+built), and Sigma_S is integrated entry by entry with adaptive `quad`
 instead of fixed Gauss-Legendre panels. The
 state-set oracle (the library's former per-element path) resolves one
 element and one angle at a time and interpolates state by state. The
@@ -218,24 +221,37 @@ def modal_sum_dense(weights: np.ndarray, phi: np.ndarray) -> np.ndarray:
     return np.exp(-1j * np.multiply.outer(phi, ms)) @ weights
 
 
-def brute_force_search(a_matrix: np.ndarray, excl: np.ndarray, state_sets) -> tuple[float, tuple]:
+def window_edge_rows(array, spec) -> np.ndarray:
+    """a(phi) at the window edges phi_o - delta_phi/2 and phi_o + delta_phi/2, (2, N)."""
+    return np.array(
+        [steering_vector_at(array, spec.phi_o + sign * spec.delta_phi / 2) for sign in (-1, 1)]
+    )
+
+
+def brute_force_search(
+    a_matrix: np.ndarray, excl: np.ndarray, state_sets, edges: np.ndarray
+) -> tuple[float, tuple]:
     """Reference exhaustive minimizer of the sidelobe ratio.
 
     Enumerates state-index tuples with itertools.product (lexicographic) and
-    evaluates each pattern with an explicit per-element accumulation loop.
-    The ratio is inf for an all-zero pattern and 0.0 for an empty exclusion
-    set. Returns (best ratio, best index tuple); first minimum wins ties,
-    so the first tuple wins when every ratio is inf.
+    evaluates each pattern, on the grid rows `a_matrix` and on the two
+    window-edge rows `edges`, with an explicit per-element accumulation
+    loop. The ratio is inf for an all-zero pattern and 0.0 for an empty
+    exclusion set. Returns (best ratio, best index tuple); first minimum
+    wins ties, so the first tuple wins when every ratio is inf.
     """
     n_el = len(state_sets)
     best_val, best_idx = math.inf, None
     for idx in itertools.product(*(range(len(s)) for s in state_sets)):
         f = np.zeros(a_matrix.shape[0], dtype=complex)
+        f_edges = np.zeros(2, dtype=complex)
         for n in range(n_el):
             f += state_sets[n][idx[n]] * a_matrix[:, n]
-        mag = np.abs(f)
-        peak = mag.max()
-        ratio = mag[excl].max(initial=0.0) / peak if peak > 0 else math.inf
+            f_edges += state_sets[n][idx[n]] * edges[:, n]
+        mag, mag_edges = np.abs(f), np.abs(f_edges)
+        peak = max(mag.max(), mag_edges.max())
+        side = max(mag[excl].max(), mag_edges.max()) if excl.any() else 0.0
+        ratio = side / peak if peak > 0 else math.inf
         if best_idx is None or ratio < best_val:
             best_val, best_idx = float(ratio), idx
     return best_val, best_idx
@@ -243,13 +259,18 @@ def brute_force_search(a_matrix: np.ndarray, excl: np.ndarray, state_sets) -> tu
 
 def es_task_full(p_lo: np.ndarray, f_hi: np.ndarray, excl: np.ndarray, span) -> tuple:
     """Best (objective, high tuple, low tuple) over the high tuples of `span`,
-    every column of every f_hi[h] + P_lo scored; the first minimum wins."""
+    every column of every f_hi[h] + P_lo scored; the first minimum wins.
+
+    `excl` is the grid's exclusion mask; the two rows of the tables past it
+    are the window edges, exclusion rows only when the grid's set is non-empty.
+    """
     start, stop = span
     block = np.empty_like(p_lo)
+    rows = np.concatenate([excl, np.full(p_lo.shape[0] - excl.size, excl.any())])
     best = (np.inf, start, 0)
     for h in range(start, stop):
         np.add(p_lo, f_hi[h][:, None], out=block)
-        vals = _objective_batch(block, excl)
+        vals = _objective_batch(block, rows)
         i = int(np.argmin(vals))
         if vals[i] < best[0]:
             best = (float(vals[i]), h, i)
@@ -257,18 +278,20 @@ def es_task_full(p_lo: np.ndarray, f_hi: np.ndarray, excl: np.ndarray, span) -> 
 
 
 def sll_ratio_masked(table, spec, gamma) -> float:
-    """max |F| over the exclusion set / global max |F|, through a mask copy.
+    """max |F| over the exclusion set / global max |F|, through a mask copy,
+    on the grid rows and the two window-edge rows.
 
     inf for an all-zero pattern, 0.0 when the exclusion set is empty.
     """
-    mag = np.abs(table.a @ np.asarray(gamma, dtype=complex))
-    peak = mag.max()
+    g = np.asarray(gamma, dtype=complex)
+    mag, mag_edges = np.abs(table.a @ g), np.abs(window_edge_rows(table.array, spec) @ g)
+    peak = max(mag.max(), mag_edges.max())
     if peak == 0:
         return np.inf
     excl = exclusion_set_mask(spec, table.grid)
     if not excl.any():
         return 0.0
-    return float(mag[excl].max() / peak)
+    return float(max(mag[excl].max(), mag_edges.max()) / peak)
 
 
 def trapezoid_power(f: np.ndarray, spacing: float) -> float:
@@ -342,15 +365,18 @@ def crossover_loop(children: np.ndarray, do_cross: np.ndarray, masks: np.ndarray
         children[2 * k + 1][m] = a_row[m]
 
 
-def es_gemm_search(a_matrix: np.ndarray, excl: np.ndarray, state_sets, batch: int = 4096):
+def es_gemm_search(a_matrix, excl, state_sets, edges, batch: int = 4096):
     """The exhaustive search as one gemm per batch of enumeration indices.
 
     Decodes each index k (element 0 most significant) into its state-index
     tuple, gathers the excitations and scores the batch with one matrix
-    product; the first minimum wins. Returns (best ratio, best index tuple).
+    product over the grid rows and the two window-edge rows `edges` (the
+    exclusion set must be non-empty); the first minimum wins. Returns
+    (best ratio, best index tuple).
     """
     n_el, n_states = len(state_sets), len(state_sets[0])
     states = np.vstack(state_sets)
+    a_matrix, excl = np.vstack([a_matrix, edges]), np.append(excl, [True, True])
     best_val, best_k = math.inf, 0
     for b0 in range(0, n_states**n_el, batch):
         ks = np.arange(b0, min(b0 + batch, n_states**n_el))

@@ -43,7 +43,9 @@ from cylris import (
 )
 from cylris.cli import main as cli_main
 
-from oracles import bessel_j_prime, bessel_y_prime, brute_force_search, jacobi_anger
+from oracles import (
+    bessel_j_prime, bessel_y_prime, brute_force_search, jacobi_anger, window_edge_rows
+)
 
 SWEEP_DEG = (15.0, 30.0, 45.0, 60.0, 75.0)
 
@@ -217,7 +219,8 @@ def test_criterion_5_small_instance_oracles(toy):
     t0 = time.perf_counter()
     es = exhaustive_search(toy["table"], toy["spec"], toy["states"])
     excl = exclusion_set_mask(toy["spec"], toy["table"].grid)
-    ref_val, ref_idx = brute_force_search(toy["table"].a, excl, toy["states"])
+    edges = window_edge_rows(toy["array"], toy["spec"])
+    ref_val, ref_idx = brute_force_search(toy["table"].a, excl, toy["states"], edges)
     es_matches = tuple(es.state_indices) == ref_idx and es.objective == pytest.approx(
         ref_val, rel=1e-12
     )

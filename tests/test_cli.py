@@ -325,6 +325,15 @@ def _state_table_argv(tmp):
     return _synth_argv(tmp, toy_config(tmp / "run", meta_atom=table))
 
 
+def _phi_o_170_argv(method):
+    """`synth` of configs/toy_es.yaml steered to 170 deg, where every toy element
+    is >= 90 deg away, so the steering vector there is zero."""
+    return lambda tmp: [
+        "synth", "-c", str(REPO / "configs" / "toy_es.yaml"), "--method", method,
+        "--phi-o-deg", "170", "-o", str(tmp / "run"),
+    ]
+
+
 # text saved as UTF-16, which is not UTF-8 from its byte-order mark on
 UTF16 = "angle_deg,state_index,mag,phase_deg\n".encode("utf-16")
 
@@ -370,6 +379,10 @@ BAD_INPUTS = {
     "synth_objective_grid_points_64": lambda tmp: _synth_argv(
         tmp, toy_config(tmp / "run", method="es", output={"objective_grid_points": 64})
     ),
+    **{
+        f"synth_{method}_phi_o_no_element_faces": _phi_o_170_argv(method)
+        for method in ("es", "ga", "mpdr", "go_q")
+    },
 }
 
 
@@ -488,6 +501,19 @@ def one_json_error(capsys) -> dict:
 def test_bad_input_exits_2_with_one_json_line(tmp_path, capsys, name):
     assert run_cli(BAD_INPUTS[name](tmp_path)) == 2
     assert one_json_error(capsys)["code"] == 2
+
+
+@pytest.mark.parametrize("method", METHOD_NAMES)
+def test_steering_angle_no_element_faces(tmp_path, capsys, method):
+    """A discrete method is refused before any file is written; exact and GO
+    steer anywhere."""
+    argv = _phi_o_170_argv(method)(tmp_path)
+    if method in ("exact", "go"):
+        assert run_cli(argv) == 0
+        return
+    assert run_cli(argv) == 2
+    assert "steering.phi_o_deg" in one_json_error(capsys)["error"]
+    assert not any((tmp_path / "run").iterdir())
 
 
 @pytest.mark.parametrize(
@@ -750,6 +776,35 @@ class TestSweepAndCompare:
         assert run_cli(["sweep", "-c", str(write_config(tmp_path, cfg))]) == 2
         assert "steering.phi_o_deg" in one_json_error(capsys)["error"]
         assert not out.exists()
+
+    @pytest.mark.parametrize("source", ["toy", "method_sweep", "es20"])
+    def test_result_objective_is_the_reported_sidelobe(self, tmp_path, source):
+        """Every discrete method's result.json objective_db reads the sll_db of its
+        metrics.json within 0.1 dB: both score the exclusion set up to its edges.
+        es20 is ES on 20 elements of the shipped cylinder, the perfbench size."""
+        if source == "method_sweep":
+            raw = yaml.safe_load((REPO / "configs" / "method_sweep.yaml").read_text())
+            raw["output"]["directory"] = str(tmp_path / "sweep")
+            raw["steering"]["phi_o_deg"] = [15.0, 30.0, 60.0]
+            raw["method"].update(population=200, generations=50)
+        elif source == "es20":
+            raw = toy_config(
+                tmp_path / "sweep", method=["es"], phi=[15.0, 30.0, 45.0, 60.0, 75.0],
+                geometry={"radius_m": 0.4}, array={"n_elements": 20},
+                output={"grid_points": 3601},
+            )
+        else:
+            methods = ["es", "ga", "mpdr", "go_q"]
+            raw = toy_config(tmp_path / "sweep", method=methods, phi=[12.0, 20.0, 31.0])
+            raw["method"].update(population=200, generations=50)
+        assert run_cli(["sweep", "-c", str(write_config(tmp_path, raw))]) == 0
+        runs = sorted((tmp_path / "sweep").glob("*_phi*"))
+        assert len(runs) == len(raw["steering"]["phi_o_deg"]) * len(raw["method"]["name"])
+        for run in runs:
+            result = json.loads((run / "result.json").read_text())
+            metrics = json.loads((run / "metrics.json").read_text())
+            assert "objective_kind" not in result
+            assert abs(result["objective_db"] - metrics["sll_db"]) <= 0.1, run.name
 
     def test_sweep_cases_equal_standalone_runs(self, tmp_path):
         """The per-sweep shared context changes no byte of any case."""
@@ -1111,13 +1166,15 @@ OUT_OF_MEMORY = {
     "grid_points_1e12": lambda tmp: [
         "-c", str(REPO / "configs" / "toy_es.yaml"), "--grid-points", "1000000000000"
     ],
-    # with a reporting grid that resolves the cylinder's modes, so MPDR starts
+    # with grids that resolve the cylinder's modes, so MPDR starts
     "mpdr_radius_30000m": lambda tmp: [
         "-c",
         str(write_config(tmp, toy_config(
             tmp / "run", geometry={"radius_m": 30000.0},
-            output={"grid_points": exact_synth.required_grid_points(
-                CylinderGeometry(30000.0, 3.6e9).k0r, "exact")},
+            output=dict.fromkeys(
+                ("grid_points", "objective_grid_points"),
+                exact_synth.required_grid_points(CylinderGeometry(30000.0, 3.6e9).k0r, "exact"),
+            ),
         ))),
     ],
 }

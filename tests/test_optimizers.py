@@ -43,6 +43,7 @@ from oracles import (
     sigma_s_quad,
     sll_ratio_masked,
     trapezoid_power,
+    window_edge_rows,
 )
 
 
@@ -237,8 +238,9 @@ class TestMpdrSynthesize:
             x = mpdr_relaxed(sig, steering_vector_at(array30, spec.phi_o))
             u = np.abs(states).mean() * x / np.abs(x)
             objective, idx, _ = mpdr_scan_loop(u, sig.sigma_s, states, 3600)
-            assert res.objective <= objective
-            if res.objective == objective:
+            power = float((res.gamma.conj() @ (sig.sigma_s @ res.gamma)).real)
+            assert power <= objective
+            if power == objective:
                 assert np.array_equal(res.state_indices, idx)
             assert res.evaluations <= 30 * 2 * 1 + 1
 
@@ -291,13 +293,14 @@ class TestMpdrSynthesize:
             assert s1 == pytest.approx(s2, rel=1e-12)
 
     def test_objective_recomputable_from_gamma(self, toy, toy_sigma):
+        """MPDR chooses by the exclusion-set power and reports the sidelobe ratio."""
         table, sig = toy_sigma
         res = mpdr_synthesize(table, toy["spec"], toy["states"])
         g = res.gamma
-        recomputed = float((g.conj() @ (sig.sigma_s @ g)).real)
-        assert recomputed == pytest.approx(res.objective, rel=1e-12)
+        assert res.objective == sll_objective(table, toy["spec"], g)
+        power = float((g.conj() @ (sig.sigma_s @ g)).real)
         direct = exclusion_arc_power(toy["array"], toy["spec"], g)
-        assert direct == pytest.approx(res.objective, rel=1e-6)
+        assert direct == pytest.approx(power, rel=1e-6)
 
     def test_deterministic(self, toy, toy_sigma):
         table, sig = toy_sigma
@@ -357,7 +360,8 @@ class TestExhaustiveSearch:
     def test_matches_independent_brute_force(self, toy):
         res = exhaustive_search(toy["table"], toy["spec"], toy["states"])
         excl = exclusion_set_mask(toy["spec"], toy["table"].grid)
-        ref_val, ref_idx = brute_force_search(toy["table"].a, excl, toy["states"])
+        edges = window_edge_rows(toy["array"], toy["spec"])
+        ref_val, ref_idx = brute_force_search(toy["table"].a, excl, toy["states"], edges)
         assert tuple(res.state_indices) == ref_idx
         assert res.objective == pytest.approx(ref_val, rel=1e-12)
 
@@ -372,8 +376,9 @@ class TestExhaustiveSearch:
     def test_matches_oracles_for_every_batch_and_worker_count(self, name, monkeypatch):
         table, spec, states = ES_INSTANCES[name]()
         excl = exclusion_set_mask(spec, table.grid)
-        _, ref_idx = es_gemm_search(table.a, excl, states)
-        assert brute_force_search(table.a, excl, states)[1] == ref_idx
+        edges = window_edge_rows(table.array, spec)
+        _, ref_idx = es_gemm_search(table.a, excl, states, edges)
+        assert brute_force_search(table.a, excl, states, edges)[1] == ref_idx
         for batch in (1, 2, 37, 1024):
             monkeypatch.setattr(optimizers, "ES_LOW_COLUMNS", batch)
             for workers in (1, 2):
@@ -537,11 +542,12 @@ class TestProbeAndPrune:
         # the oracle; the smaller instances run them through the pruned path
         batches = (37, 1024) if name in ES_CONSTANT16 else BATCHES
         pruned, spans = optimizers._es_task, []
+        excl = exclusion_set_mask(spec, table.grid)
 
         def checked(span):
             ctx = optimizers._ES_CTX
             got = pruned(span)
-            want = es_task_full(ctx["p_lo"], ctx["f_hi"], ctx["excl"], span)
+            want = es_task_full(ctx["p_lo"], ctx["f_hi"], excl, span)
             assert (got[0].hex(), got[1:]) == (want[0].hex(), want[1:]), (batch, span)
             spans.append(span)
             return got
@@ -556,7 +562,8 @@ class TestProbeAndPrune:
     def test_edge_cases_match_brute_force(self, name, monkeypatch):
         table, spec, states = ES_EDGE_CASES[name]()
         excl = exclusion_set_mask(spec, table.grid)
-        ref_val, ref_idx = brute_force_search(table.a, excl, states)
+        edges = window_edge_rows(table.array, spec)
+        ref_val, ref_idx = brute_force_search(table.a, excl, states, edges)
         for batch in BATCHES:
             monkeypatch.setattr(optimizers, "ES_LOW_COLUMNS", batch)
             res = exhaustive_search(table, spec, states)
