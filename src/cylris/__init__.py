@@ -7,7 +7,6 @@ from .geometry import (
     AngularGrid,
     CylinderGeometry,
     SteeringSpec,
-    exclusion_set_mask,
     incident_field,
     phase_function,
     wrap_angle,

@@ -90,9 +90,12 @@ SCHEMA = {
     },
 }
 
-# accepted from old configs and manifests, no effect (Sigma is integrated
-# on no grid; runs record no clock; MPDR scores every distinct psi)
-_RETIRED = {"output": ("sigma_grid_points", "timing"), "method": ("psi_samples", "psi_refine")}
+# accepted from old configs and manifests that keep their former type and rule; no effect
+# (Sigma is integrated on no grid; runs record no clock; MPDR scores every distinct psi)
+_RETIRED = {
+    "output": {"sigma_grid_points": (int, None, _at_least(2)), "timing": (bool, None, None)},
+    "method": {"psi_samples": (int, None, _at_least(1)), "psi_refine": (int, None, _at_least(0))},
+}
 
 # the sweep axes: config key -> RunConfig field
 _AXES = {"method.name": "methods", "steering.phi_o_deg": "phi_o_deg"}
@@ -214,7 +217,9 @@ def parse_config(raw: dict) -> RunConfig:
         if section == "array" and raw.get(section) is None:
             continue
         given[section] = block = _require_mapping(raw.get(section), section)
-        _check_unknown(block, (*keys, *_RETIRED.get(section, ())), section)
+        _check_unknown(block, (*keys, *_RETIRED.get(section, {})), section)
+        for key, entry in _RETIRED.get(section, {}).items():
+            _value(block.get(key), f"{section}.{key}", *entry)
         sections[section] = {
             key: _value(block.get(key), f"{section}.{key}", *entry) for key, entry in keys.items()
         }

@@ -23,7 +23,6 @@ __all__ = [
     "AngularGrid",
     "incident_field",
     "phase_function",
-    "exclusion_set_mask",
 ]
 
 # Free-space propagation speed [m/s]. The round 3e8 convention keeps the
@@ -76,7 +75,8 @@ def phase_function(geom: CylinderGeometry, phi_o: float, phi) -> np.ndarray:
 
 @dataclass(frozen=True)
 class SteeringSpec:
-    """Steering direction and protected main-beam width (both radians)."""
+    """Steering direction and protected main-beam width (both radians): every model is
+    steered at the wrapped phi_o, and `edges` and `excludes` alone define the window."""
 
     phi_o: float
     delta_phi: float
@@ -86,6 +86,15 @@ class SteeringSpec:
             raise ValueError("delta_phi must be positive")
         object.__setattr__(self, "phi_o", float(wrap_angle(self.phi_o)))
         object.__setattr__(self, "delta_phi", float(self.delta_phi))
+
+    @property
+    def edges(self) -> tuple[float, float]:
+        """The window edges phi_o - delta_phi/2 and phi_o + delta_phi/2, unwrapped."""
+        return self.phi_o - self.delta_phi / 2, self.phi_o + self.delta_phi / 2
+
+    def excludes(self, phi) -> np.ndarray:
+        """True where phi lies in the exclusion set |wrap(phi - phi_o)| > delta_phi/2."""
+        return np.abs(wrap_angle(np.asarray(phi) - self.phi_o)) > self.delta_phi / 2
 
     def warn_if_below_reference(self, reference_rad: float) -> None:
         if self.delta_phi < reference_rad:
@@ -130,7 +139,3 @@ class AngularGrid:
         """Index of the sample closest to phi (wrap-aware)."""
         return int(np.argmin(np.abs(wrap_angle(self.values - phi))))
 
-
-def exclusion_set_mask(spec: SteeringSpec, grid: AngularGrid) -> np.ndarray:
-    """Boolean mask, true exactly where |wrap(phi - phi_o)| > delta_phi / 2."""
-    return np.abs(wrap_angle(grid.values - spec.phi_o)) > spec.delta_phi / 2.0

@@ -36,7 +36,7 @@ from .discrete_model import (
     steering_vector_at,
 )
 from .errors import BudgetExceededError, NumericalError
-from .geometry import SteeringSpec, exclusion_set_mask, wrap_angle
+from .geometry import SteeringSpec, wrap_angle
 
 __all__ = [
     "SigmaMatrices",
@@ -99,16 +99,12 @@ def _gauss_legendre(n: int) -> tuple[np.ndarray, np.ndarray]:
 def _sigma_nodes(array: ElementArray, spec: SteeringSpec) -> tuple[np.ndarray, np.ndarray]:
     """Gauss-Legendre nodes and weights on [-pi, pi) for the Sigma integrand.
 
-    a_n*(phi) a_m(phi) is smooth between the element-support edges
-    alpha_n +- pi/2, and the exclusion-set indicator jumps only at the window
-    edges phi_o +- delta_phi/2; panels break at all of them and are split to
-    a width <= SIGMA_PANEL_WIDTH / k0R, so the rule stays exact as the
-    integrand oscillates faster with the electrical size.
+    a_n*(phi) a_m(phi) is smooth between the element-support edges alpha_n +- pi/2,
+    and the exclusion-set indicator jumps only at the window `spec.edges`; panels
+    break at all of them and are split to a width <= SIGMA_PANEL_WIDTH / k0R, so
+    the rule stays exact as the integrand oscillates faster with the electrical size.
     """
-    half = spec.delta_phi / 2.0
-    edges = np.concatenate(
-        [array.alphas - np.pi / 2, array.alphas + np.pi / 2, [spec.phi_o - half, spec.phi_o + half]]
-    )
+    edges = np.concatenate([array.alphas - np.pi / 2, array.alphas + np.pi / 2, spec.edges])
     breaks = np.unique(np.concatenate([wrap_angle(edges), [-np.pi, np.pi]]))
     lengths = np.diff(breaks)
     splits = np.ceil(lengths * array.geom.k0r / SIGMA_PANEL_WIDTH).astype(int)
@@ -129,7 +125,7 @@ def build_sigma(table: SteeringVectorTable, spec: SteeringSpec) -> SigmaMatrices
     """
     nodes, weights = _sigma_nodes(table.array, spec)
     a = steering_vector_at(table.array, nodes) * np.sqrt(weights)[:, None]
-    a_s = a[np.abs(wrap_angle(nodes - spec.phi_o)) > spec.delta_phi / 2.0]  # exclusion_set_mask
+    a_s = a[spec.excludes(nodes)]
     return SigmaMatrices(sigma=_hermitize(a.conj().T @ a), sigma_s=_hermitize(a_s.conj().T @ a_s))
 
 
@@ -187,12 +183,11 @@ def sll_objective(table: SteeringVectorTable, spec: SteeringSpec, gamma) -> floa
 
 
 def _objective_rows(table: SteeringVectorTable, spec: SteeringSpec):
-    """The grid rows, then the exact window-edge rows a(phi_o -+ delta_phi/2) where
-    the open exclusion set attains its supremum, and their exclusion mask. The
-    edge rows are exclusion rows only when the grid's set is non-empty, so an
-    empty set still scores 0.0."""
-    excl = exclusion_set_mask(spec, table.grid)
-    edges = steering_vector_at(table.array, spec.phi_o + np.array([-0.5, 0.5]) * spec.delta_phi)
+    """The grid rows, then the exact rows at the window `spec.edges`, where the open
+    exclusion set attains its supremum, and their exclusion mask. The edge rows are
+    exclusion rows only when the grid's set is non-empty, so an empty set still scores 0.0."""
+    excl = spec.excludes(table.grid.values)
+    edges = steering_vector_at(table.array, spec.edges)
     return np.vstack([table.a, edges]), np.append(excl, [excl.any()] * 2)
 
 

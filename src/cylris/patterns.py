@@ -7,7 +7,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import AngularGrid, SteeringSpec, exclusion_set_mask, wrap_angle
+from .geometry import AngularGrid, SteeringSpec, wrap_angle
 
 __all__ = [
     "PatternGrid",
@@ -176,15 +176,12 @@ def pattern_metrics(pattern: PatternGrid, spec: SteeringSpec) -> PatternMetrics:
     mag = pattern.magnitude
     i_pk = int(mag.argmax())
     peak = _refined_local_max(mag, i_pk)
-    excl = exclusion_set_mask(spec, pattern.grid)
+    excl = spec.excludes(pattern.grid.values)
     side = 0.0
     if excl.any():
-        masked = np.nonzero(excl)[0]
-        j = int(masked[np.argmax(mag[masked])])
-        side = _refined_local_max(mag, j)
+        side = _refined_local_max(mag, int(np.argmax(np.where(excl, mag, -1.0))))
         # the open exclusion region attains its supremum at the window edges
-        for edge in (spec.phi_o - spec.delta_phi / 2, spec.phi_o + spec.delta_phi / 2):
-            side = max(side, interpolate_magnitude(pattern, float(edge)))
+        side = max(side, *(interpolate_magnitude(pattern, edge) for edge in spec.edges))
         side = min(side, peak)  # interpolation must not push the ratio past 0 dB
     sll_db = _db(side / peak) if peak > 0 else -np.inf
     target = min(interpolate_magnitude(pattern, spec.phi_o), peak)

@@ -14,6 +14,7 @@ from __future__ import annotations
 import json
 import math
 import sys
+import warnings
 from dataclasses import replace
 from functools import lru_cache
 from pathlib import Path
@@ -33,7 +34,7 @@ from .discrete_model import (
     steering_vector_at,
 )
 from .errors import ConfigError
-from .geometry import AngularGrid, CylinderGeometry, SteeringSpec, exclusion_set_mask, wrap_angle
+from .geometry import AngularGrid, CylinderGeometry, SteeringSpec, wrap_angle
 from .patterns import pattern_metrics
 
 __all__ = ["run_single", "run_sweep", "build_comparison", "run_validation", "write_manifest"]
@@ -54,18 +55,10 @@ def _reference_lobe(array: ElementArray) -> float:
     return reference_beamwidth(_steering_table(array, REFERENCE_GRID_POINTS), 0.0)
 
 
-def _delta_phi(cfg: RunConfig, array: ElementArray | None) -> float:
-    if cfg.steering["delta_phi_mode"] == "absolute_deg":
-        return float(np.radians(cfg.steering["value"]))
-    return cfg.steering["value"] * _reference_lobe(array)
-
-
 def _require_window_sample(spec: SteeringSpec, n_points: int, key: str) -> None:
-    """Refuse a grid with no sample inside the protected window or none outside it.
-
-    Either way the sidelobe ratio is not defined on that grid.
-    """
-    excl = exclusion_set_mask(spec, AngularGrid.uniform(n_points))
+    """Refuse a grid with no sample inside the protected window or none outside it:
+    either way the sidelobe ratio is not defined on that grid."""
+    excl = spec.excludes(AngularGrid.uniform(n_points).values)
     if excl.all():
         raise ConfigError(
             f"output.{key}: no sample of the {n_points}-point grid lies inside the "
@@ -100,15 +93,13 @@ _OPTIMIZERS = dict(
 )
 
 
-def _synthesize(
-    cfg: RunConfig, geom, array, method: str, phi_o: float, spec: SteeringSpec, outdir: Path
-):
-    """Run `method`, write the files it alone produces, and return its pattern
-    on the reporting grid: impedance.csv for exact and go, states.json and
-    result.json for the discrete methods. Every grid it samples must have a
-    sample inside the protected window and one outside, and resolve the
-    cylinder's 2M+1 modes (the GO projection needs twice as many); a discrete
-    method's steering angle must be faced by some element."""
+def _synthesize(cfg: RunConfig, geom, array, method: str, spec: SteeringSpec, outdir: Path):
+    """Run `method` steered at spec.phi_o, write the files it alone produces,
+    and return its pattern on the reporting grid: impedance.csv for exact and
+    go, states.json and result.json for the discrete methods. Every grid it
+    samples must have a sample inside the protected window and one outside,
+    and resolve the cylinder's 2M+1 modes (the GO projection needs twice as
+    many); a discrete method's steering angle must be faced by some element."""
     n_points = cfg.output["grid_points"]
     discrete = method in DISCRETE_METHODS
     need = exact_synth.required_grid_points(geom.k0r, "go" if method == "go" else "exact")
@@ -117,8 +108,10 @@ def _synthesize(
         if cfg.output[key] < need:
             raise ConfigError(f"output.{key}: {method} at k0R = {geom.k0r:.4g} needs >= {need}")
     if discrete:
-        if not steering_vector_at(array, phi_o).any():
-            raise ConfigError(f"steering.phi_o_deg: no element faces {np.degrees(phi_o):g} deg")
+        if not steering_vector_at(array, spec.phi_o).any():
+            raise ConfigError(
+                f"steering.phi_o_deg: no element faces {np.degrees(spec.phi_o):g} deg"
+            )
         atom = cfg.meta_atom
         if atom["model"] == "table":
             state_table = meta_atom.load_state_table(atom["table_path"])
@@ -134,12 +127,12 @@ def _synthesize(
         return far_field_discrete(_steering_table(array, n_points), result.gamma)
     grid = AngularGrid.uniform(n_points)
     if method == "exact":
-        expansion = exact_synth.modal_coefficients(geom, phi_o)
+        expansion = exact_synth.modal_coefficients(geom, spec.phi_o)
         profile = exact_synth.surface_impedance(geom, expansion, grid)
         pattern = exact_synth.far_field_exact(expansion, grid)
         io.write_impedance_csv(outdir / "impedance.csv", profile)
     else:  # go
-        profile = go_synth.go_impedance(geom, phi_o, grid)
+        profile = go_synth.go_impedance(geom, spec.phi_o, grid)
         pattern = go_synth.far_field_po(geom, profile.gamma, grid, **cfg.params_for(method))
         io.write_go_impedance_csv(outdir / "impedance.csv", profile)
     return pattern
@@ -160,14 +153,20 @@ def run_single(cfg: RunConfig, outdir=None, command: str = "synth"):
     geom = CylinderGeometry(**cfg.geometry)
     array = None if cfg.array is None else ElementArray(geom, **cfg.array)
     method = cfg.methods[0]
-    phi_o = float(np.radians(cfg.phi_o_deg[0]))
-    spec = SteeringSpec(phi_o=phi_o, delta_phi=_delta_phi(cfg, array))
+    value, absolute = cfg.steering["value"], cfg.steering["delta_phi_mode"] == "absolute_deg"
+    delta_phi = np.radians(value) if absolute else value * _reference_lobe(array)
+    spec = SteeringSpec(phi_o=np.radians(cfg.phi_o_deg[0]), delta_phi=delta_phi)
     if array is not None:
         spec.warn_if_below_reference(_reference_lobe(array))
     outdir = Path(outdir if outdir is not None else cfg.output["directory"])
     outdir.mkdir(parents=True, exist_ok=True)
-    pattern = _synthesize(cfg, geom, array, method, phi_o, spec, outdir)
+    pattern = _synthesize(cfg, geom, array, method, spec, outdir)
     m = pattern_metrics(pattern, spec)
+    if method in DISCRETE_METHODS and spec.excludes(m.peak_dir_rad):
+        warnings.warn(
+            f"{method} steered at {cfg.phi_o_deg[0]:g} deg peaks at {np.degrees(m.peak_dir_rad):g}"
+            " deg, outside the protected window: a missed beam, so sll_db reads 0 dB"
+        )
     io.write_pattern_csv(outdir / "pattern.csv", pattern)
     io.write_metrics_json(outdir / "metrics.json", m)
     write_manifest(outdir / "manifest.json", cfg, command)

@@ -46,7 +46,6 @@ from scipy.special import jv, yv
 
 from cylris import (
     ModalExpansion,
-    exclusion_set_mask,
     far_field_exact,
     incident_field,
     modal_sum,
@@ -288,7 +287,7 @@ def sll_ratio_masked(table, spec, gamma) -> float:
     peak = max(mag.max(), mag_edges.max())
     if peak == 0:
         return np.inf
-    excl = exclusion_set_mask(spec, table.grid)
+    excl = spec.excludes(table.grid.values)
     if not excl.any():
         return 0.0
     return float(max(mag[excl].max(), mag_edges.max()) / peak)

@@ -18,7 +18,6 @@ from cylris import (
     SteeringSpec,
     boundary_residual,
     build_sigma,
-    exclusion_set_mask,
     exhaustive_search,
     far_field_discrete,
     far_field_exact,
@@ -218,7 +217,7 @@ def test_criterion_4_mpdr_contract(full_scale):
 def test_criterion_5_small_instance_oracles(toy):
     t0 = time.perf_counter()
     es = exhaustive_search(toy["table"], toy["spec"], toy["states"])
-    excl = exclusion_set_mask(toy["spec"], toy["table"].grid)
+    excl = toy["spec"].excludes(toy["table"].grid.values)
     edges = window_edge_rows(toy["array"], toy["spec"])
     ref_val, ref_idx = brute_force_search(toy["table"].a, excl, toy["states"], edges)
     es_matches = tuple(es.state_indices) == ref_idx and es.objective == pytest.approx(

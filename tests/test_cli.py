@@ -4,6 +4,7 @@ import pickle
 import resource
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -14,9 +15,11 @@ from cylris import (
     AngularGrid,
     CylinderGeometry,
     ElementArray,
+    SteeringSpec,
     cli,
     exact_synth,
     go_synth,
+    io,
     optimizers,
     phase_function,
     specfun,
@@ -196,6 +199,33 @@ class TestSynthCommand:
         assert run_cli(["synth", "-c", str(path)]) == 0
         header = (out / "impedance.csv").read_text().splitlines()[0]
         assert header == "phi_deg,re_Z_over_eta0,im_Z_over_eta0,singular_flag"
+
+    @pytest.mark.parametrize("method", ["exact", "go"])
+    def test_steered_at_the_wrapped_angle(self, tmp_path, method):
+        """A run writes what the library writes at spec.phi_o, bit for bit. At
+        70 deg the wrap moves the angle by one ulp, and both patterns with it."""
+        phi_o = SteeringSpec(np.radians(70.0), 1.0).phi_o
+        assert phi_o != np.radians(70.0)
+        out = tmp_path / "run"
+        cfg = toy_config(
+            out, method=method, phi=70.0, geometry={"radius_m": 0.4},
+            array={"n_elements": 30}, output={"grid_points": 1441},
+        )
+        assert run_cli(_synth_argv(tmp_path, cfg)) == 0
+        geom, grid = CylinderGeometry(0.4, 3.6e9), AngularGrid.uniform(1441)
+        lib = tmp_path / "library"
+        if method == "exact":
+            expansion = exact_synth.modal_coefficients(geom, phi_o)
+            pattern = exact_synth.far_field_exact(expansion, grid)
+            profile = exact_synth.surface_impedance(geom, expansion, grid)
+            io.write_impedance_csv(lib / "impedance.csv", profile)
+        else:
+            profile = go_synth.go_impedance(geom, phi_o, grid)
+            pattern = go_synth.far_field_po(geom, profile.gamma, grid)
+            io.write_go_impedance_csv(lib / "impedance.csv", profile)
+        io.write_pattern_csv(lib / "pattern.csv", pattern)
+        for name in ("pattern.csv", "impedance.csv"):
+            assert (lib / name).read_bytes() == (out / name).read_bytes(), name
 
     def test_full_scale_es_hits_budget_guard(self, tmp_path, capsys):
         out = tmp_path / "run"
@@ -468,6 +498,22 @@ KEYED_BAD_INPUTS = {
     "method_cli_es_without_array": (_es_override_without_array, "array: block required"),
     # a protected window that covers the whole circle leaves no sidelobe region
     "ref_factor_window_whole_circle": (_with("geometry", "freq_hz", 1.0e9), "steering.value"),
+    # retired keys have no effect, but keep their former type and rule
+    "retired_timing_nan": (_with("output", "timing", float("nan")), "output.timing"),
+    "retired_timing_1": (_with("output", "timing", 1), "output.timing"),
+    "retired_sigma_grid_points_-5": (
+        _with("output", "sigma_grid_points", -5), "output.sigma_grid_points"
+    ),
+    "retired_psi_samples_nan": (
+        _with("method", "psi_samples", float("nan"), "mpdr"), "method.psi_samples"
+    ),
+    "retired_psi_refine_list": (_with("method", "psi_refine", [1, 2], "mpdr"), "method.psi_refine"),
+    "retired_timing_nan_manifest": (
+        _replay_argv(
+            {"config": {**_RUN_CONFIG, "output": {**_RUN_CONFIG["output"], "timing": float("nan")}}}
+        ),
+        "output.timing",
+    ),
     "absolute_window_whole_circle": (
         lambda tmp: _synth_argv(
             tmp,
@@ -514,6 +560,35 @@ def test_steering_angle_no_element_faces(tmp_path, capsys, method):
     assert run_cli(argv) == 2
     assert "steering.phi_o_deg" in one_json_error(capsys)["error"]
     assert not any((tmp_path / "run").iterdir())
+
+
+@pytest.mark.parametrize("method, peak_deg", [("go_q", "68.65"), ("mpdr", "-84.13")])
+def test_missed_beam_warns(tmp_path, method, peak_deg):
+    """At 150 deg one toy element faces the angle, at grazing incidence: the
+    discrete pattern peaks outside the protected window. The run completes
+    with its 0 dB sidelobe ratio, and says so."""
+    argv = ["synth", "-c", str(REPO / "configs" / "toy_es.yaml"), "--method", method,
+            "--phi-o-deg", "150", "-o", str(tmp_path / "run")]
+    match = f"^{method} steered at 150 deg peaks at {peak_deg}[0-9]* deg"
+    with pytest.warns(UserWarning, match=match):
+        assert run_cli(argv) == 0
+    assert json.loads((tmp_path / "run" / "metrics.json").read_text())["sll_db"] == 0.0
+
+
+@pytest.mark.parametrize(
+    "config, method",
+    [("toy_es", "es"), ("toy_es", "mpdr"), ("baseline_mpdr", "go_q"), ("baseline_mpdr", "go")],
+)
+def test_a_steered_beam_does_not_warn(tmp_path, config, method):
+    """Discrete beams that reach their angle are silent; so is go, whose peak
+    is the forward-scatter lobe at 180 deg, outside the window."""
+    argv = ["synth", "-c", str(REPO / "configs" / f"{config}.yaml"), "--method", method,
+            "-o", str(tmp_path / "run")]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert run_cli(argv) == 0
+    metrics = json.loads((tmp_path / "run" / "metrics.json").read_text())
+    assert (metrics["sll_db"] == 0.0) == (method == "go")
 
 
 @pytest.mark.parametrize(

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -5,7 +7,6 @@ from cylris import (
     AngularGrid,
     CylinderGeometry,
     SteeringSpec,
-    exclusion_set_mask,
     incident_field,
     wrap_angle,
 )
@@ -89,17 +90,17 @@ class TestAngularGrid:
 class TestExclusionMask:
     def test_full_window_no_exclusion(self, fine_grid):
         spec = SteeringSpec(phi_o=0.0, delta_phi=2 * np.pi)
-        assert not exclusion_set_mask(spec, fine_grid).any()
+        assert not spec.excludes(fine_grid.values).any()
 
     def test_half_circle_window(self, fine_grid):
         spec = SteeringSpec(phi_o=0.0, delta_phi=np.pi)
-        mask = exclusion_set_mask(spec, fine_grid)
+        mask = spec.excludes(fine_grid.values)
         expected = np.abs(fine_grid.values) > np.pi / 2
         assert np.array_equal(mask, expected)
 
     def test_wraparound_window(self, fine_grid):
         spec = SteeringSpec(np.radians(170.0), np.radians(40.0))
-        mask = exclusion_set_mask(spec, fine_grid)
+        mask = spec.excludes(fine_grid.values)
         idx = fine_grid.nearest_index(np.radians(-175.0))
         assert not mask[idx]  # -175 deg is inside the wrapped main-beam window
         assert mask[fine_grid.nearest_index(0.0)]
@@ -107,13 +108,11 @@ class TestExclusionMask:
     def test_invariant_under_2pi_shift(self, fine_grid):
         base = SteeringSpec(phi_o=np.radians(40.0), delta_phi=np.radians(30.0))
         shifted = SteeringSpec(phi_o=np.radians(40.0) + 2 * np.pi, delta_phi=np.radians(30.0))
-        assert np.array_equal(
-            exclusion_set_mask(base, fine_grid), exclusion_set_mask(shifted, fine_grid)
-        )
+        assert np.array_equal(base.excludes(fine_grid.values), shifted.excludes(fine_grid.values))
 
     def test_complement_is_contiguous_arc_of_width_delta(self, fine_grid):
         spec = SteeringSpec(phi_o=np.radians(135.0), delta_phi=np.radians(25.0))
-        inside = ~exclusion_set_mask(spec, fine_grid)
+        inside = ~spec.excludes(fine_grid.values)
         measure = inside.sum() * fine_grid.spacing
         assert abs(measure - spec.delta_phi) <= 2 * fine_grid.spacing
         # contiguity up to the wrap point: at most one rising edge in the
@@ -121,6 +120,43 @@ class TestExclusionMask:
         rolled = np.roll(inside, 1)
         rising = np.sum(~rolled & inside)
         assert rising == 1
+
+    def test_scalar_off_grid_angle(self):
+        spec = SteeringSpec(np.radians(170.0), np.radians(40.0))
+        inside, outside = spec.excludes(np.radians(-171.3)), spec.excludes(np.radians(147.9))
+        assert inside.shape == outside.shape == ()
+        assert not inside and outside
+        assert not spec.excludes(np.radians(189.0))  # -171 deg, unwrapped
+
+    def test_gauss_nodes_keep_their_shape(self):
+        """Any array of angles, here Gauss-Legendre nodes in panels (2-D), is
+        judged elementwise by the rule |wrap(phi - phi_o)| > delta_phi / 2."""
+        spec = SteeringSpec(np.radians(-25.0), np.radians(33.0))
+        x, _ = np.polynomial.legendre.leggauss(7)
+        mid = np.linspace(-np.pi, np.pi, 41)[:-1] + np.pi / 40
+        nodes = mid[:, None] + (np.pi / 40) * x
+        expected = [
+            [abs(math.remainder(phi - spec.phi_o, 2 * math.pi)) > spec.delta_phi / 2 for phi in row]
+            for row in nodes.tolist()
+        ]
+        assert np.array_equal(spec.excludes(nodes), np.array(expected))
+
+    def test_window_straddling_pi(self, fine_grid):
+        """A window around 178 deg holds angles on both sides of +-180 deg; its
+        edges stay unwrapped, one above pi."""
+        spec = SteeringSpec(np.radians(178.0), np.radians(10.0))
+        lo, hi = spec.edges
+        assert (lo, hi) == (spec.phi_o - spec.delta_phi / 2, spec.phi_o + spec.delta_phi / 2)
+        assert lo < np.pi < hi
+        assert not spec.excludes(np.radians([174.0, 179.9, -180.0, -177.5])).any()
+        assert spec.excludes(np.radians([172.5, -176.5, 0.0])).all()
+        # just past each edge is excluded, just inside is not
+        assert list(spec.excludes([lo - 1e-9, lo + 1e-9, hi - 1e-9, hi + 1e-9])) == [
+            True, False, False, True,
+        ]
+        inside = ~spec.excludes(fine_grid.values)
+        assert abs(inside.sum() * fine_grid.spacing - spec.delta_phi) <= 2 * fine_grid.spacing
+        assert inside[0] and inside[-1]  # the window wraps through the grid's seam
 
 
 def test_steering_spec_wraps_phi_o():

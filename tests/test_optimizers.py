@@ -15,7 +15,6 @@ from cylris import (
     SteeringVectorTable,
     build_sigma,
     conjugate_phase_excitation,
-    exclusion_set_mask,
     exhaustive_search,
     ga_synthesize,
     go_quantized,
@@ -359,7 +358,7 @@ class TestExhaustiveSearch:
 
     def test_matches_independent_brute_force(self, toy):
         res = exhaustive_search(toy["table"], toy["spec"], toy["states"])
-        excl = exclusion_set_mask(toy["spec"], toy["table"].grid)
+        excl = toy["spec"].excludes(toy["table"].grid.values)
         edges = window_edge_rows(toy["array"], toy["spec"])
         ref_val, ref_idx = brute_force_search(toy["table"].a, excl, toy["states"], edges)
         assert tuple(res.state_indices) == ref_idx
@@ -375,7 +374,7 @@ class TestExhaustiveSearch:
     @pytest.mark.parametrize("name", ES_INSTANCES)
     def test_matches_oracles_for_every_batch_and_worker_count(self, name, monkeypatch):
         table, spec, states = ES_INSTANCES[name]()
-        excl = exclusion_set_mask(spec, table.grid)
+        excl = spec.excludes(table.grid.values)
         edges = window_edge_rows(table.array, spec)
         _, ref_idx = es_gemm_search(table.a, excl, states, edges)
         assert brute_force_search(table.a, excl, states, edges)[1] == ref_idx
@@ -542,7 +541,7 @@ class TestProbeAndPrune:
         # the oracle; the smaller instances run them through the pruned path
         batches = (37, 1024) if name in ES_CONSTANT16 else BATCHES
         pruned, spans = optimizers._es_task, []
-        excl = exclusion_set_mask(spec, table.grid)
+        excl = spec.excludes(table.grid.values)
 
         def checked(span):
             ctx = optimizers._ES_CTX
@@ -561,7 +560,7 @@ class TestProbeAndPrune:
     @pytest.mark.parametrize("name", ES_EDGE_CASES)
     def test_edge_cases_match_brute_force(self, name, monkeypatch):
         table, spec, states = ES_EDGE_CASES[name]()
-        excl = exclusion_set_mask(spec, table.grid)
+        excl = spec.excludes(table.grid.values)
         edges = window_edge_rows(table.array, spec)
         ref_val, ref_idx = brute_force_search(table.a, excl, states, edges)
         for batch in BATCHES:
@@ -580,7 +579,7 @@ class TestProbeAndPrune:
             res = exhaustive_search(*ES_EDGE_CASES[name]())
             assert res.objective == objective and not res.state_indices.any()
         table, spec, _ = ES_EDGE_CASES["single_sample_window"]()
-        assert (~exclusion_set_mask(spec, table.grid)).sum() == 1
+        assert (~spec.excludes(table.grid.values)).sum() == 1
 
     def test_pruning_scores_under_a_tenth_of_the_columns(self, monkeypatch):
         full, scored = optimizers._objective_batch, []
@@ -705,7 +704,7 @@ class TestScoringPrecision:
         within a relative 1e-5 of complex128 (5.0e-7 at worst, at 45 deg)."""
         table = steering_vector(array30, obj_grid)
         spec = SteeringSpec(np.radians(phi_o_deg), reference_window(array30, 1.2))
-        excl = exclusion_set_mask(spec, table.grid)
+        excl = spec.excludes(table.grid.values)
         gammas = np.random.default_rng(int(phi_o_deg)).choice([1.0, -1.0], size=(30, 1000))
         double = optimizers._objective_batch(table.a @ gammas, excl)
         single = optimizers._objective_batch(
@@ -768,7 +767,7 @@ class TestSllObjective:
             for g in gammas:
                 assert sll_objective(table, spec, g) == sll_ratio_masked(table, spec, g)
             # 0/0 (a zero pattern, no sidelobe sample) is the one case left undefined
-            if exclusion_set_mask(spec, table.grid).any():
+            if spec.excludes(table.grid.values).any():
                 assert sll_objective(table, spec, zero) == sll_ratio_masked(table, spec, zero)
         assert sll_objective(table, specs[-3], zero) == np.inf  # all-zero pattern
         for wide in specs[-2:]:  # empty exclusion set
