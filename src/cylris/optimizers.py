@@ -283,34 +283,32 @@ def _es_task(span: tuple[int, int]) -> tuple[float, int, int]:
     """Best (objective, high tuple, low tuple) over the high tuples [start, stop).
 
     Elementwise numpy only: the pattern of (h, every low tuple) is
-    f_hi[h] + P_lo, scored column by column; the first minimum wins.
-    Probe and prune: once the best is finite, a column whose probed
-    sidelobe / exact window peak (`_es_init` rows) already reaches it cannot
-    win, and is never scored in full. The probed sidelobe is a lower bound,
-    as the edge rows are exclusion rows too; division rounds monotonically
-    and the reduction is strict.
+    f_hi[h] + P_lo. The best starts at (start, 0), scored alone; every high
+    tuple is then probed on the `_es_init` rows, and a column is scored in
+    full only when min(probed sidelobe / exact window peak, 1) is below the
+    best. That is a lower bound on its ratio, as the edge rows are exclusion
+    rows and a finite ratio is <= 1; the clamp never prunes against inf.
+    Division rounds monotonically and `<` is strict, so ties keep the earlier
+    tuple and the span's first minimum, (start, 0) at worst, survives.
     """
     start, stop = span
     p_lo, f_hi, excl = _ES_CTX["p_lo"], _ES_CTX["f_hi"], _ES_CTX["excl"]
     probe, n_window = _ES_CTX["probe"], _ES_CTX["n_window"]
-    block = np.empty_like(p_lo)
-    rows = block[: probe.size]
-    best = (np.inf, start, 0)
+    rows = np.empty((probe.size, p_lo.shape[1]), dtype=p_lo.dtype)
+    best = (float(_objective_batch(p_lo[:, :1] + f_hi[start][:, None], excl)[0]), start, 0)
     for h in range(start, stop):
-        if best[0] == np.inf:  # nothing to prune against yet
-            cols = range(p_lo.shape[1])
-            vals = _objective_batch(np.add(p_lo, f_hi[h][:, None], out=block), excl)
-        else:
-            np.take(p_lo, probe, axis=0, out=rows, mode="clip")  # "clip": no bounce buffer
-            rows += f_hi[h, probe][:, None]
-            mag = np.abs(rows)
-            main = mag[:n_window].max(axis=0, initial=0.0)
-            lb = mag[n_window:].max(axis=0, initial=0.0)  # <= the exclusion-set max
-            with np.errstate(divide="ignore", invalid="ignore"):  # 0/0 is nan: kept
-                cols = np.flatnonzero(~(lb / main >= best[0]))
-            if not cols.size:
-                continue
-            vals = _objective_batch(p_lo[:, cols] + f_hi[h][:, None], excl)
+        np.take(p_lo, probe, axis=0, out=rows, mode="clip")  # "clip": no bounce buffer
+        rows += f_hi[h, probe][:, None]
+        mag = np.abs(rows)
+        main = mag[:n_window].max(axis=0, initial=0.0)
+        lb = mag[n_window:].max(axis=0, initial=0.0)  # <= the exclusion-set max
+        with np.errstate(divide="ignore", invalid="ignore"):  # 0/0 is nan: kept
+            cols = np.flatnonzero(~(np.minimum(lb / main, 1.0) >= best[0]))
+        if not cols.size:
+            continue
+        block = p_lo[:, cols]
+        block += f_hi[h][:, None]
+        vals = _objective_batch(block, excl)
         i = int(np.argmin(vals))
         if vals[i] < best[0]:
             best = (float(vals[i]), h, int(cols[i]))
@@ -354,8 +352,9 @@ def exhaustive_search(
     negation visit only the element-0 states that can win (about half).
     `workers > 1` fans the high tuples out over processes that run no BLAS,
     at most one per usable CPU and one per task; the ordered reduction keeps
-    the result identical to a serial run. Each task scores in full only the
-    columns that a few probed rows cannot rule out (`_es_task`).
+    the result identical to a serial run. A task's best starts at its first
+    tuple, and only columns whose probed lower bound stays below the best are
+    scored in full; ties keep the earlier tuple (`_es_task`).
     `evaluations` is L^N, the size of the space covered.
     """
     budget, workers = checked("method.budget", budget), checked("method.workers", workers)

@@ -507,6 +507,9 @@ def _es_edge_case(name):
             spec = SteeringSpec(phi_o=spec.phi_o, delta_phi=2 * np.pi)
         elif name == "single_sample_window":  # the optimum is below 1 at 5.5 deg
             spec = SteeringSpec(phi_o=grid.values[186], delta_phi=grid.spacing)
+        elif name == "unfaced_window":  # (0,...,0) scores inf, every other tuple 1.0
+            spec = SteeringSpec(phi_o=np.radians(170.0), delta_phi=np.radians(8.0))
+            states[:] = [0, 1]
         return table, spec, states
 
     return build
@@ -520,11 +523,12 @@ ES_EDGE_CASES = {
         "off_state_first",
         "empty_exclusion_set",
         "single_sample_window",
+        "unfaced_window",
     )
 }
 
 # 16 one-bit elements: 2^15 visited tuples, so at every batch each task
-# holds several high tuples and the pruned path runs.
+# holds several high tuples and prunes against its seeded best.
 ES_CONSTANT16 = {
     f"constant16_phi{d:g}": _es_instance(16, 0.4, d)
     for d in np.random.default_rng(16).uniform(10.0, 75.0, 5).round(2)
@@ -580,6 +584,10 @@ class TestProbeAndPrune:
             assert res.objective == objective and not res.state_indices.any()
         table, spec, _ = ES_EDGE_CASES["single_sample_window"]()
         assert (~spec.excludes(table.grid.values)).sum() == 1
+        table, spec, states = ES_EDGE_CASES["unfaced_window"]()
+        window = table.a[~spec.excludes(table.grid.values)]
+        assert window.size and not window.any()
+        assert exhaustive_search(table, spec, states).objective == 1.0
 
     def test_pruning_scores_under_a_tenth_of_the_columns(self, monkeypatch):
         full, scored = optimizers._objective_batch, []
@@ -589,13 +597,14 @@ class TestProbeAndPrune:
             return full(patterns, excl)
 
         monkeypatch.setattr(optimizers, "_objective_batch", counting)
-        # batch 64: 512 high tuples in four serial tasks, whose first tuples
-        # are scored in full (256 of the 2^15 columns; 4096 at batch 1024)
-        monkeypatch.setattr(optimizers, "ES_LOW_COLUMNS", 64)
-        for name, build in ES_CONSTANT16.items():
-            scored.clear()
-            exhaustive_search(*build())
-            assert sum(scored) < 0.1 * 2**15, name
+        # 512 high tuples (batch 64) or 32 (batch 1024) in four serial tasks,
+        # each seeded by its first tuple alone: every other column is probed
+        for batch in (64, 1024):
+            monkeypatch.setattr(optimizers, "ES_LOW_COLUMNS", batch)
+            for name, build in ES_CONSTANT16.items():
+                scored.clear()
+                exhaustive_search(*build())
+                assert sum(scored) < 0.1 * 2**15, (name, batch)
 
 
 class TestGa:
